@@ -103,6 +103,8 @@ def _mode(args):
 def _cmd_nc(args):
     from . import ncpart
     if args.op == "enumerate":
+        if args.n is None:
+            raise ValidationError("nc enumerate needs --n")
         parts = ncpart.enumerate_nc(args.n)
         return _emit(args, {"n": args.n, "count": len(parts),
                             "partitions": [p.to_json() for p in parts]})
@@ -113,10 +115,7 @@ def _cmd_nc(args):
                             "kreweras": ncpart.kreweras(p).to_json()})
     if args.op == "check":
         n = data.get("n") or sum(len(b) for b in data["blocks"])
-        try:
-            ok = ncpart.is_noncrossing(data["blocks"], n=n)
-        except ValidationError:
-            raise
+        ok = ncpart.is_noncrossing(data["blocks"], n=n)
         return _emit(args, {"noncrossing": ok})
     raise ValidationError("unknown nc op %r" % args.op)
 

@@ -214,20 +214,3 @@ def kreweras(pi):
 def relabel(pi, perm):
     """Apply an index map {1..n}->{1..n} to every element."""
     return NcPartition(pi.n, [[perm[x] for x in b] for b in pi.blocks])
-
-
-def kreweras_brute(pi):
-    """Oracle: the largest sigma with pi u sigma noncrossing interleaved.
-
-    Elements of sigma live on the barred copy placed at positions
-    1 < 1' < 2 < 2' < ... < n < n'.  Quadratic in |NC(n)|; for tests only.
-    """
-    n = pi.n
-    best = None
-    for sigma in enumerate_nc(n):
-        union = [[2 * x - 1 for x in b] for b in pi.blocks] + \
-                [[2 * x for x in b] for b in sigma.blocks]
-        if is_noncrossing(union, n=2 * n):
-            if best is None or refinement_leq(best, sigma):
-                best = sigma
-    return best

@@ -6,19 +6,28 @@ phi(x) = trace(rho x) for a positive definite block-diagonal density rho.
 The weight need not be a state: trace(rho) > 1 is allowed and is how finite
 weights enter the rescaling identities.
 
-Moments M_n and free cumulants R_n are linked by the lattice sum
-M_n = sum over noncrossing partitions of the block products R_pi, and the
-engine inverts that sum by recursion on word length.
+Moments M and free cumulants R are linked by the lattice sum
+M(w) = sum over noncrossing partitions pi of the block products R_pi(w).
+The engine evaluates it by the first-block recursion (Nica & Speicher,
+Lectures on the Combinatorics of Free Probability, 2006): M(w) is the sum,
+over the blocks V that contain position 1, of R(w|V) times the product of
+M over the gaps that V leaves.  Solving the same identity for the one-block
+term inverts it.  Both directions are memoized per word, visit at most
+2^(n-1) first blocks per word of length n, and cap words at
+``ncpart.MAX_N`` letters.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iproduct
 
 import numpy as np
 
 from . import _scalars as sc
 from .errors import (DomainError, NotClosingError, NotPsdError,
-                     NotTracialError, ShapeError, ValidationError)
-from .ncpart import NcPartition, enumerate_nc, kreweras
+                     NotTracialError, ShapeError, SizeLimitError,
+                     ValidationError)
+from .ncpart import MAX_N, enumerate_nc, kreweras
 
 FLOAT_TOL = 1e-10
 
@@ -135,34 +144,86 @@ def partitioned_moment(space, pi, word):
     return total
 
 
-def _subword(word, block):
-    return tuple(word[v - 1] for v in block)
+@lru_cache(maxsize=None)
+def _first_blocks(n):
+    """The blocks V of {0..n-1} that contain 0, each with its gaps.
+
+    The gaps are the nonempty intervals strictly between consecutive members
+    of V and after its last member.  The one-block V = (0..n-1), which
+    leaves no gaps, comes last.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1, got %d" % n)
+    if n > MAX_N:
+        raise SizeLimitError("n = %d exceeds the hard cap %d" % (n, MAX_N))
+    out = []
+    for mask in range(1 << (n - 1)):
+        block = (0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
+        ends = block[1:] + (n,)
+        gaps = tuple(tuple(range(lo + 1, hi))
+                     for lo, hi in zip(block, ends) if hi > lo + 1)
+        out.append((block, gaps))
+    return tuple(out)
+
+
+def _sub(key, idx):
+    return tuple(map(key.__getitem__, idx))
+
+
+def _moment_slots(r_slots, n):
+    """Memoized moments M(key) = sum_{V ∋ 1} R(key|V) prod_gaps M(key|gap).
+
+    ``r_slots`` maps sub-keys to cumulants.  A key is any tuple: a label
+    word, or slot positions in 1..n.
+    """
+    @lru_cache(maxsize=None)
+    def m(key):
+        total = 0
+        for block, gaps in _first_blocks(len(key)):
+            term = r_slots(_sub(key, block))
+            for gap in gaps:
+                term = term * m(_sub(key, gap))
+            total = total + term
+        return total
+    return m
+
+
+def _cumulant_slots(m_slots):
+    """Memoized cumulants: the first-block sum solved for R(key).
+
+    R(key) = M(key) - sum over V ∋ 1, V != key, of R(key|V) times the gap
+    moments.  The moment oracle ``m_slots`` is memoized as well, because
+    the same gaps recur under many first blocks.
+    """
+    m = lru_cache(maxsize=None)(m_slots)
+
+    @lru_cache(maxsize=None)
+    def r(key):
+        proper = _first_blocks(len(key))[:-1]
+        total = m(key)
+        for block, gaps in proper:
+            term = r(_sub(key, block))
+            for gap in gaps:
+                term = term * m(_sub(key, gap))
+            total = total - term
+        return total
+    return r
 
 
 def cumulants_from_moments(moments):
     """Invert M_n = sum_{pi in NC(n)} R_pi on word-indexed data.
 
     ``moments`` maps label words (tuples) to scalars and must contain every
-    subword of every word it contains.  Returns the same-shaped mapping of
-    free cumulants.
+    subword the recursion reaches; a missing one raises ValidationError.
+    Returns the same-shaped mapping of free cumulants.
     """
-    cums = {}
-    for word in sorted(moments, key=lambda w: (len(w), w)):
-        n = len(word)
-        total = moments[word]
-        for pi in enumerate_nc(n):
-            if len(pi) == 1:
-                continue
-            term = 1
-            for block in pi.blocks:
-                sub = _subword(word, block)
-                if sub not in cums:
-                    raise ValidationError(
-                        "moments missing subword %r of %r" % (sub, word))
-                term = term * cums[sub]
-            total = total - term
-        cums[word] = total
-    return cums
+    def m(word):
+        if word not in moments:
+            raise ValidationError("moments missing subword %r" % (word,))
+        return moments[word]
+
+    r = _cumulant_slots(m)
+    return {word: r(word) for word in moments}
 
 
 def moments_from_cumulants(cumulants, word):
@@ -173,13 +234,7 @@ def moments_from_cumulants(cumulants, word):
     get = cumulants.value if isinstance(cumulants, CumulantFunctional) \
         else cumulants.__getitem__
     word = tuple(word)
-    total = 0
-    for pi in enumerate_nc(len(word)):
-        term = 1
-        for block in pi.blocks:
-            term = term * get(_subword(word, block))
-        total = total + term
-    return total
+    return _moment_slots(get, len(word))(word)
 
 
 class CumulantFunctional:
@@ -237,12 +292,6 @@ class CumulantFunctional:
             raise ShapeError("word %r exceeds d_max=%d" % (word, self.d_max))
         return self.values.get(word, 0)
 
-    def r_pi(self, pi, word):
-        total = 1
-        for block in pi.blocks:
-            total = total * self.value(_subword(word, block))
-        return total
-
     @classmethod
     def constant(cls, c, d_max, label="x", tracial=True):
         """Single self-adjoint variable with all cumulants equal to c."""
@@ -266,53 +315,6 @@ def slots_from_sequence(seq):
             raise ShapeError("need order %d, have %d" % (k, len(seq)))
         return seq[k - 1]
     return f
-
-
-def slots_from_functional(cf, word):
-    """Slot functional for arguments word[0], word[1], ... (0-based)."""
-    def f(positions):
-        return cf.value(tuple(word[p - 1] for p in positions))
-    return f
-
-
-def _moment_slots(r_slots, n):
-    """Memoized block moments M(V) = sum_{sigma in NC(V)} R_sigma."""
-    cache = {}
-
-    def m(positions):
-        positions = tuple(positions)
-        if positions in cache:
-            return cache[positions]
-        total = 0
-        for sigma in enumerate_nc(len(positions)):
-            term = 1
-            for block in sigma.blocks:
-                term = term * r_slots(tuple(positions[v - 1] for v in block))
-            total = total + term
-        cache[positions] = total
-        return total
-    return m
-
-
-def _cumulant_slots(m_slots):
-    """Memoized block cumulants by the Moebius-style recursion."""
-    cache = {}
-
-    def r(positions):
-        positions = tuple(positions)
-        if positions in cache:
-            return cache[positions]
-        total = m_slots(positions)
-        for pi in enumerate_nc(len(positions)):
-            if len(pi) == 1:
-                continue
-            term = 1
-            for block in pi.blocks:
-                term = term * r(tuple(positions[v - 1] for v in block))
-            total = total - term
-        cache[positions] = total
-        return total
-    return r
 
 
 def product_moments_free(r_x, y_slots, n, y_given="cumulants"):
@@ -358,71 +360,30 @@ def check_freeness(space, family_a, family_b, n_max, tol=None):
     """
     if n_max > 8:
         raise DomainError("n_max capped at 8")
-    labels = [("a%d" % i, x) for i, x in enumerate(family_a)] + \
-             [("b%d" % i, x) for i, x in enumerate(family_b)]
-    elements = dict(labels)
+    names_a = ["a%d" % i for i in range(len(family_a))]
+    names_b = ["b%d" % i for i in range(len(family_b))]
+    elements = dict(zip(names_a + names_b, list(family_a) + list(family_b)))
     if tol is None:
         tol = 0 if space.mode == sc.EXACT else FLOAT_TOL
 
-    moments = {}
-
     def mom(word):
-        if word not in moments:
-            moments[word] = moment(space, [elements[c] for c in word])
-        return moments[word]
+        return moment(space, [elements[c] for c in word])
 
-    cums = {}
-
-    def cum(word):
-        if word in cums:
-            return cums[word]
-        total = mom(word)
-        for pi in enumerate_nc(len(word)):
-            if len(pi) == 1:
-                continue
-            term = 1
-            for block in pi.blocks:
-                term = term * cum(_subword(word, block))
-            total = total - term
-        cums[word] = total
-        return total
-
-    names = [name for name, _ in labels]
-    from itertools import product as iproduct
-    for n in range(2, n_max + 1):
-        for word in iproduct(names, repeat=n):
-            kinds = {c[0] for c in word}
-            if kinds != {"a", "b"}:
-                continue
-            v = cum(word)
-            bad = v != 0 if tol == 0 else abs(v) > tol
-            if bad:
-                return False, list(word)
-    return True, None
+    return mixed_cumulants_vanish(mom, names_a, names_b, n_max, tol)
 
 
 def mixed_cumulants_vanish(moment_fn, labels_a, labels_b, n_max, tol=0):
-    """Freeness test against an external moment oracle (e.g. vacuum state)."""
-    cums = {}
+    """Freeness test against an external moment oracle (e.g. vacuum state).
 
-    def cum(word):
-        if word in cums:
-            return cums[word]
-        total = moment_fn(word)
-        for pi in enumerate_nc(len(word)):
-            if len(pi) == 1:
-                continue
-            term = 1
-            for block in pi.blocks:
-                term = term * cum(_subword(word, block))
-            total = total - term
-        cums[word] = total
-        return total
-
-    from itertools import product as iproduct
+    Words over both label sets are tried by length, then lexicographically
+    in the order labels_a + labels_b; the first with a cumulant beyond
+    ``tol`` is returned as the witness.
+    """
+    cum = _cumulant_slots(moment_fn)
+    set_a, set_b = set(labels_a), set(labels_b)
     for n in range(2, n_max + 1):
         for word in iproduct(list(labels_a) + list(labels_b), repeat=n):
-            if not (set(word) & set(labels_a)) or not (set(word) & set(labels_b)):
+            if set_a.isdisjoint(word) or set_b.isdisjoint(word):
                 continue
             v = cum(word)
             bad = v != 0 if tol == 0 else abs(v) > tol

@@ -8,8 +8,7 @@ Gaussian part.  The k-th variation error
     || sum_i X(f_i)^k  -  (delta_{k,2} b^2 t + Y(x^k chi_[0,t])) ||_{L^2}
 
 is computed exactly from vacuum vectors (the difference applied to the
-vacuum), and independently from the noncrossing cumulant sums, then the
-decay against the bin count N is fit by a log-log slope.
+vacuum), then the decay against the bin count N is fit by a log-log slope.
 """
 
 import math
@@ -22,7 +21,6 @@ from . import _scalars as sc
 from .algebra import direct_sum, function_algebra, trivial_algebra
 from .errors import DomainError, ShapeError
 from .fock import FockSpace, FockOperator, field_X, identity
-from .ncpart import enumerate_nc
 
 DIM_CAP = 64
 
@@ -173,45 +171,6 @@ def variation_error(exp, n_bins):
         total = vec if total is None else total + vec
     err2 = total.inner(total)
     return math.sqrt(float(abs(err2)))
-
-
-def variation_error_squared_nc(exp, n_bins):
-    """Oracle: phi(D* D) via the noncrossing cumulant sums.
-
-    Vacuum moments of X-words are Sum over NC(n) of block factors
-    <S g_{v1}, g_{v2} ... g_{vr}> (singletons vanish); exact in rational
-    mode.  Quadratic in the term count, for small N only.
-    """
-    alg, terms = difference_words(exp, n_bins)
-    mode = alg.mode
-
-    def r_block(word):
-        if len(word) < 2:
-            return sc.scalar_zero(mode)
-        prod = word[1]
-        for g in word[2:]:
-            prod = alg.multiply(prod, g)
-        return alg.inner(alg.s_apply(word[0]), prod)
-
-    def x_moment(word):
-        if not word:
-            return sc.scalar_one(mode)
-        total = sc.scalar_zero(mode)
-        for pi in enumerate_nc(len(word)):
-            term = sc.scalar_one(mode)
-            for block in pi.blocks:
-                term = term * r_block([word[v - 1] for v in block])
-                if term == 0:
-                    break
-            total = total + term
-        return total
-
-    total = sc.scalar_zero(mode)
-    for c1, w1 in terms:
-        star1 = tuple(alg.s_apply(g) for g in reversed(w1))
-        for c2, w2 in terms:
-            total = total + np.conjugate(c1) * c2 * x_moment(star1 + w2)
-    return total
 
 
 def rate_regression(n_values, errors):

@@ -53,6 +53,37 @@ def test_nc_validation_error_exit_2(capsys):
     assert obj["code"] == "size_limit"
 
 
+def test_nc_enumerate_without_n_exit_2(capsys):
+    code, _, err = capture(capsys, ["nc", "enumerate"])
+    assert code == 2
+    assert json.loads(err)["code"] == "validation"
+
+
+def test_nc_check_invalid_partition_exit_2(capsys):
+    code, _, err = capture(
+        capsys, ["nc", "check", "--inline",
+                 json.dumps({"blocks": [[1, 2], [2, 3]]})])
+    assert code == 2
+    assert json.loads(err)["code"] == "shape"
+
+
+def test_cum_missing_subword_exit_2(capsys):
+    values = [{"word": ["x"], "value": 1}, {"word": ["x"] * 3, "value": 2}]
+    code, _, err = capture(capsys, ["cum", "to-cumulants", "--inline",
+                                    json.dumps({"values": values})])
+    assert code == 2
+    assert json.loads(err)["code"] == "validation"
+
+
+@pytest.mark.parametrize("op", ["to-cumulants", "to-moments"])
+def test_cum_word_past_cap_exit_2(capsys, op):
+    values = [{"word": ["x"] * 17, "value": 1}]
+    code, _, err = capture(capsys, ["cum", op, "--inline",
+                                    json.dumps({"values": values})])
+    assert code == 2
+    assert json.loads(err)["code"] == "size_limit"
+
+
 def test_cum_roundtrip_exact(capsys):
     values = [{"word": ["x"] * k, "value": {"num": 1, "den": 1}}
               for k in range(1, 5)]

@@ -7,16 +7,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freepoisson import _scalars as sc
-from freepoisson.errors import NotClosingError, NotPsdError, NotTracialError
+from freepoisson.errors import (NotClosingError, NotPsdError, NotTracialError,
+                                SizeLimitError, ValidationError)
 from freepoisson.ncpart import NcPartition, enumerate_nc
 from freepoisson.ncps import (CumulantFunctional, NcProbSpace,
                               build_pseudo_algebra, check_freeness,
                               cumulants_from_moments, diag_space, moment,
                               moments_from_cumulants, partitioned_moment,
-                              product_moments_free, slots_from_functional,
-                              slots_from_sequence)
+                              product_moments_free, slots_from_sequence)
+
+from oracles import lattice_cumulants, lattice_moment
 
 
 def rand_frac(rng, lo=-4, hi=4, den=5):
@@ -111,6 +114,44 @@ def test_roundtrip_multivariable():
     cums = {w: rand_frac(rng) for w in words}
     moms = {w: moments_from_cumulants(cums, w) for w in words}
     assert cumulants_from_moments(moms) == cums
+
+
+@pytest.mark.parametrize("letters, max_len", [("ab", 6), ("x", 10)])
+def test_engine_matches_lattice_sums(letters, max_len):
+    rng = random.Random(17 + max_len)
+    words = [w for k in range(1, max_len + 1)
+             for w in product(letters, repeat=k)]
+    cums = {w: rand_frac(rng) for w in words}
+    for w in words:
+        assert moments_from_cumulants(cums, w) == lattice_moment(cums, w), w
+    moms = {w: rand_frac(rng) for w in words}
+    assert cumulants_from_moments(moms) == lattice_cumulants(moms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_roundtrip_property_random_word_tables(data):
+    letters, max_len = data.draw(st.sampled_from([("x", 7), ("xy", 4)]))
+    words = [w for k in range(1, data.draw(st.integers(1, max_len)) + 1)
+             for w in product(letters, repeat=k)]
+    frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    cums = data.draw(st.fixed_dictionaries({w: frac for w in words}))
+    moms = {w: moments_from_cumulants(cums, w) for w in words}
+    assert cumulants_from_moments(moms) == cums
+
+
+def test_missing_subword_is_validation_error():
+    moms = {("x",): F(1), ("x", "x", "x"): F(2)}
+    with pytest.raises(ValidationError):
+        cumulants_from_moments(moms)
+
+
+def test_word_past_cap_is_size_limit_in_both_directions():
+    word = ("x",) * 17
+    with pytest.raises(SizeLimitError):
+        cumulants_from_moments({word: F(1)})
+    with pytest.raises(SizeLimitError):
+        moments_from_cumulants({word: F(1)}, word)
 
 
 def test_moments_from_cumulants_counting():

@@ -12,8 +12,9 @@ from freepoisson.fock import FockSpace, field_X, vacuum_moment
 from freepoisson.ncps import mixed_cumulants_vanish
 from freepoisson.variation import (VariationExperiment, build_levy_algebra,
                                    difference_words, rate_regression,
-                                   run_experiment, variation_error,
-                                   variation_error_squared_nc)
+                                   run_experiment, variation_error)
+
+from oracles import variation_error_squared_nc
 
 
 # -- algebra layout ------------------------------------------------------------
