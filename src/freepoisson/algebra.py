@@ -13,6 +13,13 @@ An algebra here is a coordinate space C^d with
 Compatibility conditions (<xi eta, zeta> = <eta, (S xi) zeta>, S an
 anti-homomorphism with S^2 = 1, associativity) are checked by validate(),
 which tests keep honest on every constructor.
+
+The dense arrays gram, smat and lmul stay public, but every primitive
+(pi_l, pi_r, s_apply, multiply, inner, gram_row) works from the nonzero
+structure constants recorded at construction: the (row, col, value)
+entries of each lmul[i] and of smat, and the per-row nonzeros of the Gram
+(gram_rows).  A function algebra has one entry per lmul[i] and a diagonal
+Gram, so its primitives cost O(d) instead of O(d^2) or O(d^3).
 """
 
 import numpy as np
@@ -42,6 +49,11 @@ class PseudoHilbertAlgebra:
         self.unit = None if unit is None else sc.array(unit, mode)
         self.delta = None if delta is None else sc.array(delta, mode)
         self.jmat = None if jmat is None else sc.array(jmat, mode)
+        self._lmul_nz = [_nonzeros(m) for m in self.lmul]
+        self._s_nz = _nonzeros(self.smat)
+        self.gram_rows = [[] for _ in range(self.dim)]
+        for r, c, x in _nonzeros(self.gram):
+            self.gram_rows[r].append((c, x))
 
     # -- vector operations ------------------------------------------------
 
@@ -57,13 +69,35 @@ class PseudoHilbertAlgebra:
         return v
 
     def inner(self, u, v):
-        return sc.conj(u) @ self.gram @ v
+        total = sc.scalar_zero(self.mode)
+        for i, row in enumerate(self.gram_rows):
+            if u[i] != 0:
+                cu = u[i].conjugate()
+                for j, g in row:
+                    if v[j] != 0:
+                        total = total + cu * g * v[j]
+        return total
+
+    def gram_row(self, v):
+        """Row vector w with w[i] = <v, e_i>."""
+        out = sc.zeros(self.dim, self.mode)
+        for j, x in enumerate(np.asarray(v).tolist()):
+            if x != 0:
+                cx = x.conjugate()
+                for i, g in self.gram_rows[j]:
+                    out[i] += cx * g
+        return out
 
     def norm(self, u):
         return float(abs(self.inner(u, u))) ** 0.5
 
     def s_apply(self, v):
-        return self.smat @ sc.conj(v)
+        vc = sc.conj(v)
+        out = sc.zeros(self.dim, self.mode)
+        for r, c, x in self._s_nz:
+            if vc[c] != 0:
+                out[r] += x * vc[c]
+        return out
 
     def j_apply(self, v):
         if self.jmat is None:
@@ -73,22 +107,29 @@ class PseudoHilbertAlgebra:
     def pi_l(self, v):
         """Matrix of left multiplication by the vector v."""
         out = sc.zeros((self.dim, self.dim), self.mode)
-        for i in range(self.dim):
+        for i, entries in enumerate(self._lmul_nz):
             if v[i] != 0:
-                out = out + v[i] * self.lmul[i]
+                for r, c, x in entries:
+                    out[r, c] += v[i] * x
         return out
 
     def pi_r(self, v):
         """Matrix of right multiplication by the vector v."""
         out = sc.zeros((self.dim, self.dim), self.mode)
-        for i in range(self.dim):
-            col = self.lmul[i] @ v
-            for k in range(self.dim):
-                out[k, i] = col[k]
+        for i, entries in enumerate(self._lmul_nz):
+            for r, c, x in entries:
+                if v[c] != 0:
+                    out[r, i] += x * v[c]
         return out
 
     def multiply(self, u, v):
-        return self.pi_l(u) @ v
+        out = sc.zeros(self.dim, self.mode)
+        for i, entries in enumerate(self._lmul_nz):
+            if u[i] != 0:
+                for r, c, x in entries:
+                    if v[c] != 0:
+                        out[r] += u[i] * x * v[c]
+        return out
 
     def is_tracial(self):
         """Trivial modular operator (Delta = 1 within tolerance)."""
@@ -146,6 +187,12 @@ class PseudoHilbertAlgebra:
         if self.unit is not None:
             obj["unit"] = encode_matrix(self.unit.reshape(1, -1), self.mode)[0]
         return obj
+
+
+def _nonzeros(mat):
+    """(row, col, value) of each nonzero entry, in row-major order."""
+    rows, cols = np.nonzero(mat)
+    return list(zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()))
 
 
 # -- constructors ----------------------------------------------------------

@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _scalars as sc
-from .errors import FreePoissonError, NonConvergenceError, ValidationError
+from .errors import (FreePoissonError, NonConvergenceError, NotPsdError,
+                     ValidationError)
 
 SCHEMA = "v1"
 
@@ -138,14 +139,28 @@ def _cmd_cum(args):
 
 
 def _decode_algebra(data, mode):
+    """An algebra from JSON; its Gram must be Hermitian positive definite."""
     from .algebra import PseudoHilbertAlgebra
-    return PseudoHilbertAlgebra(
+    from .ncps import _check_psd
+    alg = PseudoHilbertAlgebra(
         gram=decode_matrix(data["gram"], mode),
         smat=decode_matrix(data["s"], mode),
         lmul=[decode_matrix(m, mode) for m in data["lmul"]],
         unit=[decode_scalar(x, mode) for x in data["unit"]]
         if data.get("unit") else None,
         mode=mode)
+    g = alg.gram
+    if mode == sc.EXACT:
+        hermitian = np.all(g == g.T)
+    else:
+        hermitian = (np.linalg.norm(g - g.conj().T)
+                     <= 1e-12 * max(1.0, np.linalg.norm(g)))
+    if not hermitian:
+        raise NotPsdError("algebra gram is not Hermitian")
+    _check_psd(g, mode)
+    if sc.rank(g, mode) < alg.dim:
+        raise NotPsdError("algebra gram is not positive definite")
+    return alg
 
 
 def _cmd_fock(args):
@@ -391,14 +406,14 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "alpha", None) is not None and args.cmd == "classify":
-        try:
-            args.alpha = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError):
-            args.alpha = float(args.alpha)
     if args.seed is not None:
         np.random.seed(args.seed)
     try:
+        if getattr(args, "alpha", None) is not None and args.cmd == "classify":
+            try:
+                args.alpha = Fraction(args.alpha)
+            except (ValueError, ZeroDivisionError):
+                args.alpha = float(args.alpha)
         return args.fn(args)
     except NonConvergenceError as exc:
         sys.stderr.write(json.dumps(exc.to_json()) + "\n")
@@ -410,7 +425,8 @@ def run(argv):
         sys.stderr.write(json.dumps({"code": "io", "message": str(exc)})
                          + "\n")
         return 3
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
+        # JSONDecodeError is a ValueError; so are non-numeric entries
         sys.stderr.write(json.dumps({"code": "validation",
                                      "message": "bad input: %s" % exc})
                          + "\n")

@@ -139,10 +139,13 @@ class FockSpace:
         self._gram_half = None
 
     def check_dense_cap(self):
-        """Dense realizations are capped; sparse vector work is not."""
-        if self.dim ** self.L > 2 * 10 ** 6:
+        """Dense realizations are capped; sparse vector work is not.
+
+        matrix() and gram_half() allocate total_dim^2 entries each.
+        """
+        if self.total_dim ** 2 > 4 * 10 ** 6:
             raise DomainError("truncated space too large for dense "
-                              "realization (dim^L > 2e6)")
+                              "realization (total_dim^2 > 4e6)")
 
     def index(self, idx):
         k = len(idx)
@@ -177,27 +180,31 @@ class FockSpace:
 
     def gram_leg_row(self, v):
         """Row vector w with w[i] = <v, e_i> (for annihilation letters)."""
-        return sc.conj(v) @ self.gram
+        return self.alg.gram_row(v)
 
     def inner(self, u, v):
-        """Fock inner product of two sparse vectors."""
+        """Fock inner product of two sparse vectors.
+
+        Each entry of u is expanded through the nonzeros of the Gram rows
+        of its legs and looked up in v: a dict join for a diagonal Gram.
+        """
+        rows = self.alg.gram_rows
         total = sc.scalar_zero(self.mode)
         for idx, cu in u.entries.items():
-            for jdx, cv in v.entries.items():
-                if len(idx) != len(jdx):
-                    continue
-                g = sc.scalar_one(self.mode)
-                for a, b in zip(idx, jdx):
-                    g = g * self.gram[a, b]
-                    if g == 0:
-                        break
-                if g != 0:
-                    total = total + np.conjugate(cu) * cv * g
+            partial = {(): np.conjugate(cu)}
+            for a in idx:
+                partial = {key + (b,): c * g for key, c in partial.items()
+                           for b, g in rows[a]}
+            for jdx, c in partial.items():
+                cv = v.entries.get(jdx)
+                if cv is not None:
+                    total = total + c * cv
         return total
 
     def gram_half(self):
         """Blockdiag (G^{1/2})^{x k}, for operator norms (float only)."""
         if self._gram_half is None:
+            self.check_dense_cap()
             g = sc.to_float_array(self.gram)
             ev, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
             gh = (vec * np.sqrt(np.clip(ev, 0, None))) @ vec.conj().T

@@ -1,8 +1,10 @@
-"""Lattice-sum reference implementations, for tests only.
+"""Reference implementations, for tests only.
 
-Each oracle sums over every noncrossing partition (or pair of them) that
-its definition names, with no recursion shared with the library, so the
-library's faster forms can be compared against it.
+Each lattice oracle sums over every noncrossing partition (or pair of
+them) that its definition names, with no recursion shared with the
+library, so the library's faster forms can be compared against it.  The
+dense oracles compute the algebra primitives from the full structure
+matrices, where the library reads only their nonzero entries.
 """
 
 import numpy as np
@@ -97,4 +99,51 @@ def variation_error_squared_nc(exp, n_bins):
         star1 = tuple(alg.s_apply(g) for g in reversed(w1))
         for c2, w2 in terms:
             total = total + np.conjugate(c1) * c2 * x_moment(star1 + w2)
+    return total
+
+
+# -- dense structure-constant formulas ----------------------------------------
+
+def dense_pi_l(alg, v):
+    out = sc.zeros((alg.dim, alg.dim), alg.mode)
+    for i in range(alg.dim):
+        if v[i] != 0:
+            out = out + v[i] * alg.lmul[i]
+    return out
+
+
+def dense_pi_r(alg, v):
+    out = sc.zeros((alg.dim, alg.dim), alg.mode)
+    for i in range(alg.dim):
+        out[:, i] = alg.lmul[i] @ v
+    return out
+
+
+def dense_s_apply(alg, v):
+    return alg.smat @ sc.conj(v)
+
+
+def dense_multiply(alg, u, v):
+    return dense_pi_l(alg, u) @ v
+
+
+def dense_inner(alg, u, v):
+    return sc.conj(u) @ alg.gram @ v
+
+
+def dense_gram_row(alg, v):
+    return sc.conj(v) @ alg.gram
+
+
+def dense_fock_inner(u, v):
+    """dense(u)^H blockdiag(G^{x k}) dense(v) on the truncated space."""
+    fock = u.fock
+    du, dv = u.dense(), v.dense()
+    total = sc.scalar_zero(fock.mode)
+    block = sc.eye(1, fock.mode)
+    for k in range(fock.L + 1):
+        if k:
+            block = np.kron(block, fock.gram)
+        o, n = fock.offsets[k], fock.degree_dims[k]
+        total = total + sc.conj(du[o:o + n]) @ block @ dv[o:o + n]
     return total

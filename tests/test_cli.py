@@ -188,6 +188,39 @@ def test_fock_wick_verb(capsys):
     assert img == [{"index": [0, 0], "value": 2.0}]
 
 
+@pytest.mark.parametrize("mode, gram", [
+    ("float", [[0.0]]),
+    ("float", [[-1.0]]),
+    ("exact", [[0]]),
+    ("float", [[1.0, 0.5], [0.0, 1.0]]),
+    ("float", [[1.0, 2.0], [2.0, 1.0]]),
+], ids=["zero", "negative", "zero-exact", "not-hermitian", "indefinite"])
+def test_fock_rejects_gram_not_positive_definite(capsys, mode, gram):
+    n = len(gram)
+    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    zero = [[0.0] * n for _ in range(n)]
+    payload = json.dumps({
+        "algebra": {"gram": gram, "s": eye, "lmul": [zero] * n},
+        "truncation": 2, "words": [[1.0] * n, [1.0] * n]})
+    code, out, err = capture(capsys, ["fock", "moments", "--mode", mode,
+                                      "--inline", payload])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "not_psd"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "poisson", "--alpha", "abc"],
+    ["levy", "recover", "--inline", '{"kappa":["a","b"]}'],
+    ["nc", "check", "--inline", '{"blocks":[["a",2]]}'],
+    ["cum", "to-cumulants", "--inline",
+     '{"values":[{"word":["x"],"value":"abc"}]}'],
+], ids=["classify-alpha", "levy-kappa", "nc-check", "cum-value"])
+def test_non_numeric_input_exit_2(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "validation"
+
+
 def test_variation_run_csv(capsys):
     payload = json.dumps({"atoms": [[1, 1]], "b": 0, "t": 1, "k": 2,
                           "n_list": [4, 8, 16, 32]})

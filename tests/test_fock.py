@@ -10,8 +10,8 @@ import pytest
 
 from freepoisson import _scalars as sc
 from freepoisson.algebra import trivial_algebra
-from freepoisson.errors import (NotTracialError, OverflowError_,
-                                TruncationError)
+from freepoisson.errors import (DomainError, NotTracialError,
+                                OverflowError_, TruncationError)
 from freepoisson.fock import (PROJECTIVE, STRICT, FockSpace, annihilation,
                               creation, field_X, field_Y, gauge, gns_algebra,
                               haagerup_bound, identity, modular_ops,
@@ -306,6 +306,20 @@ def test_strict_mode_overflow_raises():
         vacuum_moment([x, x, x])
     xp = x.with_mode(PROJECTIVE)
     vacuum_moment([xp, xp, xp])   # projective mode just truncates
+
+
+def test_dense_cap_bounds_allocated_entries():
+    # matrix() and norm() allocate total_dim^2 entries: dim 2, L 8 has
+    # total_dim 511 and passes; L 11 has 4095 (1.7e7 entries) and raises
+    alg = trivial_algebra(2)
+    xi = np.array([1.0, 0.5], dtype=complex)
+    with pytest.raises(DomainError):
+        creation(FockSpace(alg, 11), xi, PROJECTIVE).matrix()
+    with pytest.raises(DomainError):
+        creation(FockSpace(alg, 11), xi, PROJECTIVE).norm()
+    op = creation(FockSpace(alg, 8), xi, PROJECTIVE)
+    assert op.matrix().shape == (511, 511)
+    assert abs(op.norm() - np.linalg.norm(xi)) < 1e-12
 
 
 def test_orthogonal_projections_give_free_additive_fields():

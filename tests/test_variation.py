@@ -61,6 +61,20 @@ def test_error_squared_exact_poisson_case():
         assert abs(variation_error(exp, n) - math.sqrt(1 / n)) < 1e-12
 
 
+def _vector_error_squared(exp, n_bins):
+    """||D Omega||^2 from the realized difference vector, in exact mode."""
+    alg, terms = difference_words(exp, n_bins)
+    fock = FockSpace(alg, exp.truncation)
+    total = None
+    for coeff, word in terms:
+        vec = fock.vacuum()
+        for g in reversed(word):
+            vec = field_X(fock, g).apply(vec)
+        vec = vec.scale(coeff)
+        total = vec if total is None else total + vec
+    return fock.inner(total, total)
+
+
 def test_dual_path_agreement_small():
     # realized-vector path == noncrossing-sum path, exactly, dims <= 4
     for atoms, b, k, ns in [
@@ -72,8 +86,10 @@ def test_dual_path_agreement_small():
     ]:
         exp = VariationExperiment(atoms=atoms, b=b, t=1, k=k, n_list=ns)
         for n in ns:
-            fock_sq = F(variation_error(exp, n)) ** 2 if False else None
+            fock_sq = _vector_error_squared(exp, n)
             nc = variation_error_squared_nc(exp, n)
+            assert isinstance(fock_sq, F) and isinstance(nc, F)
+            assert fock_sq == nc, (atoms, b, k, n)
             direct = variation_error(exp, n)
             assert abs(direct ** 2 - float(nc)) < 1e-12, (atoms, b, k, n)
 
