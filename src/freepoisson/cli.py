@@ -11,8 +11,9 @@ Verbs map one-to-one onto library operations:
     classify filtration|poisson|freedim
     variation run
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric
-non-convergence; errors are emitted as {"code", "message", "witness"?}.
+Exit codes: 0 success, 2 validation or usage error, 3 I/O error, 4 numeric
+non-convergence; errors are emitted as {"code", "message", "witness"?},
+after the usage text for a usage error.
 Every output carries "schema": "v1".  ``--mode exact`` renders rationals
 as {"num", "den"}; the FREEPOISSON_MODE environment variable sets the
 default mode.
@@ -271,7 +272,6 @@ def _decode_cp(data):
         kraus = [np.array(decode_matrix(k, sc.FLOAT), dtype=complex)
                  for k in data["kraus"]]
         return CpMap(src, tgt, kraus)
-    from .quantize import CpMap
     choi = np.array(decode_matrix(data["choi"], sc.FLOAT), dtype=complex)
     return CpMap.from_choi(src, tgt, choi)
 
@@ -337,12 +337,20 @@ def _cmd_variation(args):
                         "slope": res["slope"], "exact": res["exact"]})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end with a JSON error line and exit 2, like the rest."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(json.dumps({"code": "usage", "message": message})
+                         + "\n")
+        sys.exit(2)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="freepoisson",
         description="free Poisson / noncrossing cumulant toolbox")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized verbs (reproducibility)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -350,7 +358,6 @@ def build_parser():
     common.add_argument("--inline", help="inline JSON input")
     common.add_argument("--output", help="output path (default stdout)")
     common.add_argument("--mode", choices=[sc.EXACT, sc.FLOAT])
-    common.add_argument("--tolerance", type=float, default=None)
 
     nc = sub.add_parser("nc", parents=[common])
     nc.add_argument("op", choices=["enumerate", "kreweras", "check"])
@@ -406,8 +413,6 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         if getattr(args, "alpha", None) is not None and args.cmd == "classify":
             try:

@@ -6,9 +6,15 @@ graded modular maps, right fields, and the finite-weight Wick embedding.
 Vectors are stored sparsely as {index-tuple: coefficient}; a tuple of
 length k addresses the elementary tensor e_{i1} x ... x e_{ik} in degree k.
 Operators are formal sums of words in the six elementary letters (left and
-right creation / annihilation / gauge), so application to a vector is exact
-in rational mode and overflow past the truncation can be detected letter by
-letter ("strict" mode) or silently projected away ("projective" mode).
+right creation / annihilation / gauge).  The letter interpreter serves
+vector application and exact matrices: it is exact in rational mode and
+detects overflow past the truncation letter by letter ("strict" mode) or
+projects it away ("projective" mode).  Float matrices and norms are built
+from sparse letter blocks instead: each letter is one CSR matrix on the
+truncated space (kron(leg, I) per degree), a word is their product, and
+``FockOperator.sparse`` sums the words.  Second quantization compiles its
+words from the same blocks.  scipy.sparse is imported only there, so
+exact work never loads it.
 """
 
 import numpy as np
@@ -141,7 +147,9 @@ class FockSpace:
     def check_dense_cap(self):
         """Dense realizations are capped; sparse vector work is not.
 
-        matrix() and gram_half() allocate total_dim^2 entries each.
+        matrix() and norm() allocate total_dim^2 entries each, and
+        gram_half() up to as many nonzeros; norm() is checked through
+        gram_half(), which it calls first.
         """
         if self.total_dim ** 2 > 4 * 10 ** 6:
             raise DomainError("truncated space too large for dense "
@@ -202,27 +210,42 @@ class FockSpace:
         return total
 
     def gram_half(self):
-        """Blockdiag (G^{1/2})^{x k}, for operator norms (float only)."""
+        """Blockdiag (G^{1/2})^{x k} and its inverse as CSR (float only)."""
         if self._gram_half is None:
             self.check_dense_cap()
             g = sc.to_float_array(self.gram)
             ev, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
             gh = (vec * np.sqrt(np.clip(ev, 0, None))) @ vec.conj().T
             ghi = (vec / np.sqrt(np.clip(ev, 1e-300, None))) @ vec.conj().T
-            half = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-            halfinv = np.zeros_like(half)
-            half[0, 0] = 1.0
-            halfinv[0, 0] = 1.0
-            blk = np.array([[1.0]], dtype=complex)
-            blki = np.array([[1.0]], dtype=complex)
-            for k in range(1, self.L + 1):
-                blk = np.kron(blk, gh)
-                blki = np.kron(blki, ghi)
-                o = self.offsets[k]
-                half[o:o + blk.shape[0], o:o + blk.shape[0]] = blk
-                halfinv[o:o + blk.shape[0], o:o + blk.shape[0]] = blki
-            self._gram_half = (half, halfinv)
+            self._gram_half = (kron_powers(gh, self.L),
+                               kron_powers(ghi, self.L))
         return self._gram_half
+
+
+def kron_powers(leg, L):
+    """F(leg) = blockdiag(leg^{x k}, k = 0..L) as CSR.
+
+    ``leg`` may be rectangular: F maps the truncated Fock space over its
+    column space to the one over its row space, with 1 on the vacuum.
+    """
+    import scipy.sparse as sp
+    leg = sc.to_float_array(leg)
+    r, c = np.nonzero(leg)
+    vals = leg[r, c]
+    br, bc, bv = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1)
+    rows, cols, data = [br], [bc], [bv]
+    ro = co = 1
+    for k in range(1, L + 1):
+        br = (br[:, None] * leg.shape[0] + r).ravel()
+        bc = (bc[:, None] * leg.shape[1] + c).ravel()
+        bv = (bv[:, None] * vals).ravel()
+        rows.append(br + ro)
+        cols.append(bc + co)
+        data.append(bv)
+        ro, co = ro + leg.shape[0] ** k, co + leg.shape[1] ** k
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(ro, co))
 
 
 class FockVector:
@@ -356,6 +379,47 @@ def _adjoint_letter(fock, letter):
     return (kind, adj)
 
 
+def _letter_matrix(fock, letter):
+    """One letter as a CSR matrix on the truncated space.
+
+    A left letter is kron(leg, I) and a right letter kron(I, leg) in each
+    degree, with leg a column (creation), the Gram row of the payload
+    (annihilation) or the payload matrix (gauge).  Legs past degree L are
+    dropped, as in projective application.
+    """
+    import scipy.sparse as sp
+    kind, payload = letter
+    if kind in ("c", "cr"):
+        leg, up, down = sc.to_float_array(payload).reshape(-1, 1), 1, 0
+    elif kind in ("a", "ar"):
+        leg = sc.to_float_array(fock.gram_leg_row(payload)).reshape(1, -1)
+        up, down = 0, 1
+    elif kind in ("g", "gr"):
+        leg, up, down = sc.to_float_array(payload), 1, 1
+    else:
+        raise DomainError("unknown letter kind %r" % kind)
+    r, c = np.nonzero(leg)
+    vals = leg[r, c]
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    data = [np.zeros(0, dtype=complex)]
+    for k in range(fock.L + 1 - max(up, down)):
+        rest = np.arange(fock.dim ** k)
+        if kind in ("c", "a", "g"):
+            rows.append((r[:, None] * rest.size + rest).ravel())
+            cols.append((c[:, None] * rest.size + rest).ravel())
+            data.append(np.repeat(vals, rest.size))
+        else:
+            rows.append((rest[:, None] * leg.shape[0] + r).ravel())
+            cols.append((rest[:, None] * leg.shape[1] + c).ravel())
+            data.append(np.tile(vals, rest.size))
+        rows[-1] += fock.offsets[k + up]
+        cols[-1] += fock.offsets[k + down]
+    n = fock.total_dim
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n))
+
+
 # -- operators ---------------------------------------------------------------
 
 class FockOperator:
@@ -433,15 +497,47 @@ class FockOperator:
                     out[k] = out.get(k, 0) + val
         return FockVector(self.fock, out).prune()
 
+    def sparse(self, left=None):
+        """Sum of c * (left @ L_1 @ ... @ L_n) over the terms, as CSR.
+
+        Float, and projective like matrix().  ``left`` (default the
+        identity) multiplies every word, so a compression onto a smaller
+        space never forms the operator itself.  Each distinct letter is
+        built once per call.
+        """
+        import scipy.sparse as sp
+        f = self.fock
+        rows = f.total_dim if left is None else left.shape[0]
+        out = sp.csr_matrix((rows, f.total_dim), dtype=complex)
+        blocks = {}
+        for c, letters in self.terms:
+            word = left
+            for letter in letters:
+                key = (letter[0], id(letter[1]))
+                if key not in blocks:
+                    blocks[key] = _letter_matrix(f, letter)
+                word = blocks[key] if word is None else word @ blocks[key]
+            if word is None:
+                word = sp.identity(f.total_dim, dtype=complex, format="csr")
+            out = out + complex(c) * word
+        return out
+
     def matrix(self):
-        """Dense matrix in the graded canonical basis (cached)."""
+        """Dense matrix in the graded canonical basis (cached, projective).
+
+        A float operator densifies sparse(); an exact one interprets each
+        basis column letter by letter, so its entries stay Fractions.
+        """
         if self._matrix is None:
             f = self.fock
             f.check_dense_cap()
+            if f.mode != sc.EXACT:
+                self._matrix = self.sparse().toarray()
+                return self._matrix
+            proj = self.with_mode(PROJECTIVE)
             m = sc.zeros((f.total_dim, f.total_dim), f.mode)
             for idx in f.basis_tuples():
-                col = self.with_mode(PROJECTIVE).apply(
-                    FockVector(f, {idx: sc.scalar_one(f.mode)}))
+                col = proj.apply(FockVector(f, {idx: sc.scalar_one(f.mode)}))
                 j = f.index(idx)
                 for key, v in col.entries.items():
                     m[f.index(key), j] = v
@@ -449,10 +545,16 @@ class FockOperator:
         return self._matrix
 
     def norm(self):
-        """Operator norm w.r.t. the Fock inner product (float mode)."""
+        """Operator norm w.r.t. the Fock inner product (float).
+
+        The largest singular value of G^{1/2} A G^{-1/2}, taken in real
+        arithmetic when that matrix has no imaginary part.
+        """
         half, halfinv = self.fock.gram_half()
-        a = sc.to_float_array(self.matrix())
-        return float(np.linalg.norm(half @ a @ halfinv, 2))
+        twisted = (half @ self.sparse() @ halfinv).toarray()
+        if not twisted.imag.any():
+            twisted = twisted.real
+        return float(np.linalg.norm(twisted, 2))
 
     def is_close(self, other, tol=1e-10, max_input_degree=None):
         """Equality as matrices on the truncated space.
@@ -533,6 +635,23 @@ def vacuum_moment(ops, L=None):
 
 # -- Wick products -----------------------------------------------------------
 
+def wick_words(ups, downs, gauges):
+    """Letter words of the closed splitting sum for Psi(xi_1 x ... x xi_n).
+
+    ``ups``, ``downs`` and ``gauges`` hold each leg's creation,
+    annihilation and gauge payload.  For s = 0..n the words are
+    ups[:s] downs[s:] and, for s < n, ups[:s] gauges[s] downs[s+1:]:
+    creations left, at most one gauge letter in the middle and
+    annihilations right.  No legs give the empty word.
+    """
+    n = len(ups)
+    words = [tuple(("c", u) for u in ups[:s]) +
+             tuple(("a", v) for v in downs[s:]) for s in range(n + 1)]
+    words += [tuple(("c", u) for u in ups[:s]) + (("g", gauges[s]),) +
+              tuple(("a", v) for v in downs[s + 1:]) for s in range(n)]
+    return words
+
+
 def wick(fock, legs, mode=STRICT):
     """The Wick operator Psi(xi_1 x ... x xi_n) by the closed splitting sum.
 
@@ -542,39 +661,10 @@ def wick(fock, legs, mode=STRICT):
     """
     alg = fock.alg
     legs = [alg.vector(x) if not isinstance(x, np.ndarray) else x for x in legs]
-    n = len(legs)
     one = sc.scalar_one(fock.mode)
-    if n == 0:
-        return identity(fock, mode)
-    terms = []
-    for s in range(1, n + 2):
-        letters = [("c", legs[i]) for i in range(s - 1)] + \
-                  [("a", alg.s_apply(legs[j])) for j in range(s - 1, n)]
-        terms.append((one, tuple(letters)))
-    for s in range(1, n + 1):
-        letters = [("c", legs[i]) for i in range(s - 1)] + \
-                  [("g", alg.pi_l(legs[s - 1]))] + \
-                  [("a", alg.s_apply(legs[j])) for j in range(s, n)]
-        terms.append((one, tuple(letters)))
-    return FockOperator(fock, terms, mode)
-
-
-def wick_by_recursion(fock, legs, mode=STRICT):
-    """Test oracle: Psi via X(xi_1) Psi(rest) - <S xi_1, xi_2> Psi(tail)
-    - Psi(xi_1 xi_2 x tail)."""
-    alg = fock.alg
-    legs = [alg.vector(x) if not isinstance(x, np.ndarray) else x for x in legs]
-    if not legs:
-        return identity(fock, mode)
-    if len(legs) == 1:
-        return field_X(fock, legs[0], mode)
-    head, second, tail = legs[0], legs[1], legs[2:]
-    out = field_X(fock, head, mode) * wick_by_recursion(fock, legs[1:], mode)
-    out = out - wick_by_recursion(fock, tail, mode).scale(
-        alg.inner(alg.s_apply(head), second))
-    out = out - wick_by_recursion(fock, [alg.multiply(head, second)] + tail,
-                                  mode)
-    return out
+    words = wick_words(legs, [alg.s_apply(x) for x in legs],
+                       [alg.pi_l(x) for x in legs])
+    return FockOperator(fock, [(one, w) for w in words], mode)
 
 
 def wick_multiply(alg, left, right):

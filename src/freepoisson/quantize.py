@@ -25,15 +25,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _scalars as sc
-from .algebra import PseudoHilbertAlgebra
+from .algebra import PseudoHilbertAlgebra, trivial_algebra
 from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
                      ValidationError)
+from .fock import (PROJECTIVE, FockOperator, FockSpace, kron_powers, wick,
+                   wick_words)
 from .ncps import NcProbSpace
 
 GRAM_NULL_RTOL = 1e-9
+MAX_DILATION_FOCK_DIM = 4 * 10 ** 5
 
 
 def _embed(space, x):
@@ -572,65 +574,6 @@ def build_dilation(t):
                     t2=t.t2_matrix(l2m, l2n))
 
 
-def _fock_offsets(dim, L):
-    dims = [dim ** k for k in range(L + 1)]
-    offs = [0]
-    for d in dims[:-1]:
-        offs.append(offs[-1] + d)
-    return dims, offs
-
-
-def _sparse_creation(vec, dim, L):
-    dims, offs = _fock_offsets(dim, L)
-    total = offs[-1] + dims[-1]
-    col = sp.csr_matrix(np.asarray(vec, dtype=complex).reshape(-1, 1))
-    out = sp.csr_matrix((total, total), dtype=complex)
-    for k in range(L):
-        blk = sp.kron(col, sp.identity(dims[k], dtype=complex,
-                                       format="csr")).tocoo()
-        out = out + sp.coo_matrix((blk.data, (blk.row + offs[k + 1],
-                                              blk.col + offs[k])),
-                                  shape=(total, total)).tocsr()
-    return out
-
-
-def _sparse_annihilation(vec, dim, L):
-    return _sparse_creation(vec, dim, L).conj().T.tocsr()
-
-
-def _sparse_gauge(mat, dim, L):
-    dims, offs = _fock_offsets(dim, L)
-    total = offs[-1] + dims[-1]
-    out = sp.csr_matrix((total, total), dtype=complex)
-    msp = sp.csr_matrix(np.asarray(mat, dtype=complex))
-    for k in range(1, L + 1):
-        blk = sp.kron(msp, sp.identity(dims[k - 1], dtype=complex,
-                                       format="csr")).tocoo()
-        out = out + sp.coo_matrix((blk.data, (blk.row + offs[k],
-                                              blk.col + offs[k])),
-                                  shape=(total, total)).tocsr()
-    return out
-
-
-def _sparse_fock_map(leg, dim_in, dim_out, L):
-    """F(leg): degree-wise kron powers of a rectangular contraction."""
-    dims_in, offs_in = _fock_offsets(dim_in, L)
-    dims_out, offs_out = _fock_offsets(dim_out, L)
-    total_in = offs_in[-1] + dims_in[-1]
-    total_out = offs_out[-1] + dims_out[-1]
-    lsp = sp.csr_matrix(np.asarray(leg, dtype=complex))
-    out = sp.lil_matrix((total_out, total_in), dtype=complex)
-    out[0, 0] = 1.0
-    blk = sp.identity(1, dtype=complex, format="csr")
-    acc = sp.identity(1, dtype=complex, format="csr")
-    for k in range(1, L + 1):
-        acc = sp.kron(acc, lsp, format="csr")
-        coo = acc.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            out[offs_out[k] + r, offs_in[k] + c] = v
-    return out.tocsr()
-
-
 def second_quantize(t, wick_terms, L, dilation=None):
     """Gamma(T) applied to a Wick polynomial, via the explicit dilation.
 
@@ -639,6 +582,13 @@ def second_quantize(t, wick_terms, L, dilation=None):
     sum_c c * Psi(legs).  Returns the compressed operator as a dense
     matrix on the truncated Fock space over L^2(N) (onb coordinates),
     which tests compare against Psi(T2 legs).
+
+    The Wick words are built on the Fock space over the dilation space,
+    with creation payloads k_M x, annihilation payloads k_M S conj(x) and
+    gauge payloads pi_tilde(x), and compiled from sparse letter blocks
+    with F(p_N) on the left, so the operator on the dilation space is
+    never formed.  That space's truncated Fock dimension is capped at
+    MAX_DILATION_FOCK_DIM.
     """
     if not wick_terms:
         raise DomainError("empty Wick polynomial")
@@ -649,57 +599,32 @@ def second_quantize(t, wick_terms, L, dilation=None):
     if L < deg + 2:
         raise TruncationError("need L >= degree + 2")
     dil = dilation or build_dilation(t)
-    dm, r, dn = dil.l2m.dim, dil.hs.dim, dil.l2n.dim
-    md = dm + r + dn
+    md = dil.tilde_dim
+    total = 1
+    for k in range(1, L + 1):
+        total += md ** k
+        if total > MAX_DILATION_FOCK_DIM:
+            raise DomainError("a dilation space of dimension %d at "
+                              "truncation %d has a Fock space past %d "
+                              "dimensions" % (md, L, MAX_DILATION_FOCK_DIM))
     s_m = dil.l2m.smat_onb()
-
-    total = None
+    terms = []
     for coeff, legs in wick_terms:
         legs = [np.asarray(x, dtype=complex) for x in legs]
-        n = len(legs)
-        ups = [_sparse_creation(dil.k_m @ x, md, L) for x in legs]
-        downs = [_sparse_annihilation(dil.k_m @ (s_m @ np.conj(x)), md, L)
-                 for x in legs]
-        gauges = [_sparse_gauge(dil.pi_tilde(dil.l2m.from_onb(x)), md, L)
-                  for x in legs]
-        op = None
-        for s in range(1, n + 2):
-            word = None
-            for i in range(s - 1):
-                word = ups[i] if word is None else word @ ups[i]
-            for j in range(s - 1, n):
-                word = downs[j] if word is None else word @ downs[j]
-            if word is None:
-                word = sp.identity(_fock_total(md, L), dtype=complex,
-                                   format="csr")
-            op = word if op is None else op + word
-        for s in range(1, n + 1):
-            word = None
-            for i in range(s - 1):
-                word = ups[i] if word is None else word @ ups[i]
-            word = gauges[s - 1] if word is None else word @ gauges[s - 1]
-            for j in range(s, n):
-                word = word @ downs[j]
-            op = op + word
-        op = op * coeff
-        total = op if total is None else total + op
-
-    p_fock = _sparse_fock_map(dil.p_n, md, dn, L)
-    compressed = p_fock @ total @ p_fock.conj().T
-    return np.asarray(compressed.todense())
-
-
-def _fock_total(dim, L):
-    dims, offs = _fock_offsets(dim, L)
-    return offs[-1] + dims[-1]
+        words = wick_words([dil.k_m @ x for x in legs],
+                           [dil.k_m @ (s_m @ np.conj(x)) for x in legs],
+                           [dil.pi_tilde(dil.l2m.from_onb(x)) for x in legs])
+        terms += [(coeff, w) for w in words]
+    op = FockOperator(FockSpace(trivial_algebra(md), L), terms, PROJECTIVE)
+    p_fock = kron_powers(dil.p_n, L)
+    return (op.sparse(left=p_fock) @ p_fock.conj().T).toarray()
 
 
 def wick_matrix_on_target(t, legs_n, L, l2n=None):
     """Psi(legs) on the truncated Fock space over L^2(N), dense matrix."""
-    from .fock import FockSpace, wick
     l2n = l2n or L2Space(t.target)
     alg = l2n.onb_algebra()
     fk = FockSpace(alg, L)
     op = wick(fk, [np.asarray(x, dtype=complex) for x in legs_n],
-              mode="projective")
+              mode=PROJECTIVE)
     return sc.to_float_array(op.matrix())

@@ -4,12 +4,17 @@ Each lattice oracle sums over every noncrossing partition (or pair of
 them) that its definition names, with no recursion shared with the
 library, so the library's faster forms can be compared against it.  The
 dense oracles compute the algebra primitives from the full structure
-matrices, where the library reads only their nonzero entries.
+matrices, where the library reads only their nonzero entries.  The Fock
+oracles interpret operators letter by letter, one basis column at a time,
+and build Wick operators by the defining recursion, where the library
+compiles sparse letter blocks and the closed splitting sum.
 """
 
 import numpy as np
 
 from freepoisson import _scalars as sc
+from freepoisson.fock import (PROJECTIVE, STRICT, FockVector, field_X,
+                              identity)
 from freepoisson.ncpart import (enumerate_nc, is_noncrossing,
                                 refinement_leq)
 from freepoisson.variation import difference_words
@@ -147,3 +152,53 @@ def dense_fock_inner(u, v):
         o, n = fock.offsets[k], fock.degree_dims[k]
         total = total + sc.conj(du[o:o + n]) @ block @ dv[o:o + n]
     return total
+
+
+# -- Fock operators -----------------------------------------------------------
+
+def interpreted_matrix(op):
+    """Projective matrix of a Fock operator, one interpreted column a time."""
+    f = op.fock
+    proj = op.with_mode(PROJECTIVE)
+    m = sc.zeros((f.total_dim, f.total_dim), f.mode)
+    for idx in f.basis_tuples():
+        col = proj.apply(FockVector(f, {idx: sc.scalar_one(f.mode)}))
+        for key, v in col.entries.items():
+            m[f.index(key), f.index(idx)] = v
+    return m
+
+
+def wick_by_recursion(fock, legs, mode=STRICT):
+    """Psi via X(xi_1) Psi(rest) - <S xi_1, xi_2> Psi(tail)
+    - Psi(xi_1 xi_2 x tail)."""
+    alg = fock.alg
+    legs = [alg.vector(x) if not isinstance(x, np.ndarray) else x for x in legs]
+    if not legs:
+        return identity(fock, mode)
+    if len(legs) == 1:
+        return field_X(fock, legs[0], mode)
+    head, second, tail = legs[0], legs[1], legs[2:]
+    out = field_X(fock, head, mode) * wick_by_recursion(fock, legs[1:], mode)
+    out = out - wick_by_recursion(fock, tail, mode).scale(
+        alg.inner(alg.s_apply(head), second))
+    out = out - wick_by_recursion(fock, [alg.multiply(head, second)] + tail,
+                                  mode)
+    return out
+
+
+def dense_twisted_norm(fock, a):
+    """||G^{1/2} A G^{-1/2}||_2 with blockdiag((G^{+-1/2})^{x k}) dense."""
+    g = sc.to_float_array(fock.gram)
+    ev, vec = np.linalg.eigh(g)
+    gh = (vec * np.sqrt(ev)) @ vec.conj().T
+    ghi = (vec / np.sqrt(ev)) @ vec.conj().T
+    half = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
+    halfinv = np.zeros_like(half)
+    bh = bhi = np.eye(1)
+    for k in range(fock.L + 1):
+        if k:
+            bh, bhi = np.kron(bh, gh), np.kron(bhi, ghi)
+        o, n = fock.offsets[k], fock.degree_dims[k]
+        half[o:o + n, o:o + n] = bh
+        halfinv[o:o + n, o:o + n] = bhi
+    return float(np.linalg.norm(half @ sc.to_float_array(a) @ halfinv, 2))

@@ -20,9 +20,8 @@ from freepoisson.classify import (FreeGroupFactor, WithAtom,
 from freepoisson.fock import (PROJECTIVE, FockSpace, annihilation, creation,
                               field_X, field_Y, gauge, gns_algebra,
                               haagerup_bound, identity, modular_ops,
-                              vacuum_moment, wick, wick_by_recursion,
-                              wick_embedding_In, wick_multiply,
-                              wick_sum_operator)
+                              vacuum_moment, wick, wick_embedding_In,
+                              wick_multiply, wick_sum_operator)
 from freepoisson.ncpart import (NcPartition, catalan, enumerate_nc, kreweras,
                                 relabel)
 from freepoisson.ncps import (CumulantFunctional, cumulants_from_moments,
@@ -33,6 +32,7 @@ from freepoisson.quantize import (CpMap, L2Space, biweight, build_dilation,
                                   check_admissible, petz_dual,
                                   second_quantize, wick_matrix_on_target)
 from freepoisson.variation import VariationExperiment, run_experiment
+from oracles import wick_by_recursion
 
 
 def report(num, text):

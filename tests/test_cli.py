@@ -251,6 +251,20 @@ def test_cp_check_and_gamma(capsys):
     assert "matrix" in json.loads(out)
 
 
+def test_cp_gamma_past_dilation_cap_exit_2(capsys):
+    # the dilation space here has dimension >= 5, so truncation 9 asks
+    # for a Fock space of more than 4e5 dimensions
+    space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]],
+             "mode": "float"}
+    payload = {"source": space, "target": space, "form": "kraus",
+               "kraus": [[[0.5, 0.0], [0.0, 0.5]]],
+               "wick_legs": [[1.0, 0.0]], "truncation": 9}
+    code, out, err = capture(capsys, ["cp", "gamma",
+                                      "--inline", json.dumps(payload)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "domain"
+
+
 def test_cp_dual_roundtrips_via_json(capsys):
     space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]],
              "mode": "float"}
@@ -321,3 +335,22 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["count"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["nc", "enumerate", "--n", "abc"],
+    ["--seed", "3", "nc", "enumerate", "--n", "3"],
+    ["nc", "enumerate", "--n", "3", "--tolerance", "1e-9"],
+    [],
+], ids=["bad-int", "removed-seed", "removed-tolerance", "no-verb"])
+def test_usage_error_ends_with_json_exit_2(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:")
+    assert json.loads(err.strip().splitlines()[-1])["code"] == "usage"
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = capture(capsys, ["nc", "--help"])
+    assert code == 0
+    assert out.startswith("usage:")

@@ -16,10 +16,11 @@ from freepoisson.fock import (PROJECTIVE, STRICT, FockSpace, annihilation,
                               creation, field_X, field_Y, gauge, gns_algebra,
                               haagerup_bound, identity, modular_ops,
                               right_field, vacuum_moment, wick,
-                              wick_by_recursion, wick_embedding_In,
-                              wick_multiply, wick_sum_operator)
+                              wick_embedding_In, wick_multiply,
+                              wick_sum_operator)
 from freepoisson.ncpart import enumerate_nc
 from freepoisson.ncps import NcProbSpace, diag_space
+from oracles import wick_by_recursion
 
 
 def rand_frac(rng, lo=-3, hi=3, den=3):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from freepoisson import _scalars as sc
-from freepoisson.errors import ValidationError
+from freepoisson.errors import DomainError, ValidationError
 from freepoisson.ncps import NcProbSpace
 from freepoisson.quantize import (CpMap, L2Space, biweight, build_dilation,
                                   check_admissible, conjugate_embedding,
@@ -358,3 +358,16 @@ def test_second_quantize_rejects_inadmissible():
     t = CpMap(s, s, [1.5 * np.eye(2, dtype=complex)])
     with pytest.raises(ValidationError):
         second_quantize(t, [(1.0, [np.ones(2)])], 4)
+
+
+def test_second_quantize_caps_dilation_fock_space():
+    # four Kraus maps between 2-point spaces: a dilation space of
+    # dimension 8, whose Fock space has 299,593 dimensions at L 6 and
+    # 2,396,745 at L 7; the cap (4e5) raises before any letter is built
+    rng = np.random.default_rng(7)
+    s = space2(0.6, 0.9)
+    t = random_admissible(rng, s, s)
+    dil = build_dilation(t)
+    assert dil.tilde_dim == 8
+    with pytest.raises(DomainError):
+        second_quantize(t, [(1.0, [np.ones(2)])], 7, dilation=dil)
