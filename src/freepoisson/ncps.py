@@ -326,6 +326,8 @@ def product_moments_free(r_x, y_slots, n, y_given="cumulants"):
 
         R_n = sum_pi R_pi(x) R_{K(pi)}(y),
         M_n = sum_pi R_pi(x) M_{K(pi)}(y).
+
+    n past ``ncpart.MAX_ENUM_N`` raises ``SizeLimitError``.
     """
     if y_given == "cumulants":
         r_y = y_slots

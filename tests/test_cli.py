@@ -53,6 +53,13 @@ def test_nc_validation_error_exit_2(capsys):
     assert obj["code"] == "size_limit"
 
 
+def test_nc_enumerate_past_enumeration_cap_exit_2(capsys):
+    code, out, err = capture(capsys, ["nc", "enumerate", "--n", "13"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "size_limit"
+
+
 def test_nc_enumerate_without_n_exit_2(capsys):
     code, _, err = capture(capsys, ["nc", "enumerate"])
     assert code == 2

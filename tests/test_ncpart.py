@@ -1,8 +1,11 @@
 """Noncrossing partition combinatorics against brute-force oracles."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freepoisson.errors import (DomainError, ShapeError, SizeLimitError,
                                 ValidationError)
@@ -66,7 +69,51 @@ def test_enumerate_bounds():
     with pytest.raises(DomainError):
         enumerate_nc(0)
     with pytest.raises(SizeLimitError):
+        enumerate_nc(13)
+    with pytest.raises(SizeLimitError):
         enumerate_nc(17)
+
+
+def test_enumerate_returns_shared_objects_in_fresh_lists():
+    for n in range(1, 10):
+        first, second = enumerate_nc(n), enumerate_nc(n)
+        assert first == second
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+    parts = enumerate_nc(5)
+    parts.append(NcPartition.singletons(5))
+    assert len(enumerate_nc(5)) == catalan(5)
+    parts.clear()
+    assert len(enumerate_nc(5)) == catalan(5)
+
+
+def test_kreweras_memoized_on_the_partition():
+    for n in range(1, 10):
+        for p in enumerate_nc(n):
+            k = kreweras(p)
+            assert kreweras(p) is k
+            fresh = NcPartition(n, p.blocks)
+            assert kreweras(fresh) == k
+
+
+def test_memo_slot_is_immutable():
+    p = NcPartition(3, [[1, 3], [2]])
+    kreweras(p)
+    with pytest.raises(AttributeError):
+        p._kreweras = NcPartition.singletons(3)
+    assert kreweras(p) == NcPartition(3, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("dup", [
+    copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle(dup):
+    for p in enumerate_nc(5):
+        kreweras(p)
+        q = dup(p)
+        assert q == p
+        assert hash(q) == hash(p)
+        assert kreweras(q) == kreweras(p)
 
 
 def test_is_noncrossing_examples():
@@ -140,6 +187,19 @@ def test_kreweras_squared_is_cyclic_shift():
         gamma = {i: (i - 2) % n + 1 for i in range(1, n + 1)}
         for p in enumerate_nc(n):
             assert kreweras(kreweras(p)) == relabel(p, gamma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kreweras_identities_property(data):
+    n = data.draw(st.integers(1, 10))
+    parts = enumerate_nc(n)
+    p = parts[data.draw(st.integers(0, len(parts) - 1))]
+    k = kreweras(p)
+    assert len(p) + len(k) == n + 1
+    gamma_inv = {i: (i - 2) % n + 1 for i in range(1, n + 1)}
+    assert kreweras(k) == relabel(p, gamma_inv)
+    assert NcPartition(n, k.blocks).blocks == k.blocks
 
 
 def test_kreweras_is_bijection():

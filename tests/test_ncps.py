@@ -283,6 +283,12 @@ def test_product_formula_against_fock_matrix_model():
         assert direct == via_theorem, n
 
 
+def test_product_past_enumeration_cap_is_size_limit():
+    seq = slots_from_sequence([F(1)] * 13)
+    with pytest.raises(SizeLimitError):
+        product_moments_free(seq, seq, 13)
+
+
 def test_product_accepts_moment_data():
     rng = random.Random(9)
     kx = [rand_frac(rng) for _ in range(4)]
