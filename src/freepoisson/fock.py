@@ -3,6 +3,12 @@ algebra: creation/annihilation/preservation operators, the centered and
 uncentered random-weight fields X and Y, Wick products, vacuum moments,
 graded modular maps, right fields, and the finite-weight Wick embedding.
 
+``GnsAlgebra`` is the one construction of L^2(M, phi) for a block-diagonal
+space: matrix-unit basis, Gram, S, left multiplication, unit, Delta and J,
+each built per block in closed form.  ``quantize.L2Space`` is its
+orthonormal transport.  The truncation L is capped at ``MAX_TRUNCATION``
+before the per-degree bookkeeping is built.
+
 Vectors are stored sparsely as {index-tuple: coefficient}; a tuple of
 length k addresses the elementary tensor e_{i1} x ... x e_{ik} in degree k.
 Operators are formal sums of words in the six elementary letters (left and
@@ -22,10 +28,13 @@ import numpy as np
 from . import _scalars as sc
 from .algebra import PseudoHilbertAlgebra
 from .errors import (DomainError, NotTracialError, OverflowError_,
-                     ShapeError, TruncationError, ValidationError)
+                     ShapeError, SizeLimitError, TruncationError)
 
 STRICT = "strict"
 PROJECTIVE = "projective"
+# FockSpace keeps dim**k for every degree k <= L, so the truncation is
+# capped before that list is built
+MAX_TRUNCATION = 1000
 
 
 # -- GNS construction ------------------------------------------------------
@@ -33,87 +42,81 @@ PROJECTIVE = "projective"
 class GnsAlgebra(PseudoHilbertAlgebra):
     """The left Hilbert algebra of a block-diagonal space (M, phi).
 
-    Basis vectors are matrix units; inner product <eta(x), eta(y)> =
-    trace(rho x* y); involution eta(x) -> eta(x*); modular data
-    Delta eta(x) = eta(rho x rho^{-1}) and J = S Delta^{-1/2}.
+    This is the one construction of L^2(M, phi): ``quantize.L2Space`` is
+    its transport to orthonormal coordinates.  Basis vectors are the
+    matrix units (b, i, j) in row-major order, so eta(x) concatenates the
+    flattened blocks and every structure matrix is block diagonal.  On a
+    block with density rho:
+
+      * Gram <eta(x), eta(y)> = trace(rho x* y): kron(1, rho^T);
+      * S eta(x) = eta(x*): the swap (i, j) -> (j, i);
+      * left multiplication by the unit e_ij: kron(e_ij, 1);
+      * Delta eta(x) = eta(rho x rho^{-1}): kron(rho, rho^{-T});
+      * J eta(x) = eta(rho^{1/2} x* rho^{-1/2}) = jmat conj(eta(x)), with
+        jmat = kron(rho^{1/2}, rho^{-1/2 T}) composed with the swap, so
+        that J = S Delta^{-1/2}.
+
+    Exact spaces are diagonal, so there Delta = 1 and J = S.
     """
 
     def __init__(self, space):
         self.space = space
         mode = space.mode
-        units = []          # (block, i, j)
-        for b, d in enumerate(space.block_dims):
-            for i in range(d):
-                for j in range(d):
-                    units.append((b, i, j))
-        self.units = units
-        dim = len(units)
-        pos = {u: k for k, u in enumerate(units)}
+        dims = space.block_dims
+        self.units = [(b, i, j) for b, d in enumerate(dims)
+                      for i in range(d) for j in range(d)]
+        dim = len(self.units)
+        offsets = np.cumsum([0] + [d * d for d in dims])
+        swaps = [np.arange(d * d).reshape(d, d).T.ravel() for d in dims]
+        eyes = [sc.eye(d, mode) for d in dims]
 
-        gram = sc.zeros((dim, dim), mode)
-        for a, (b1, i, j) in enumerate(units):
-            for c, (b2, k, l) in enumerate(units):
-                if b1 == b2 and i == k:
-                    gram[a, c] = space.density[b1][l, j]
+        def blockdiag(blocks):
+            out = sc.zeros((dim, dim), mode)
+            for o, m in zip(offsets, blocks):
+                out[o:o + len(m), o:o + len(m)] = m
+            return out
 
-        smat = sc.zeros((dim, dim), mode)
-        for a, (b, i, j) in enumerate(units):
-            smat[pos[(b, j, i)], a] = sc.scalar_one(mode)
+        def kron(a, b):
+            # np.kron of two d x d blocks; np.kron's own per-call overhead
+            # is most of the construction time at these sizes
+            d = len(a)
+            return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+                d * d, d * d)
 
         lmul = []
-        for (b, i, j) in units:
+        for b, i, j in self.units:
             m = sc.zeros((dim, dim), mode)
-            d = space.block_dims[b]
-            for l in range(d):
-                m[pos[(b, i, l)], pos[(b, j, l)]] = sc.scalar_one(mode)
+            d, o = dims[b], offsets[b]
+            m[o + i * d:o + i * d + d, o + j * d:o + j * d + d] = eyes[b]
             lmul.append(m)
-
-        unit = sc.zeros(dim, mode)
-        for b, d in enumerate(space.block_dims):
-            for i in range(d):
-                unit[pos[(b, i, i)]] = sc.scalar_one(mode)
-
-        super().__init__(gram=gram, smat=smat, lmul=lmul, unit=unit, mode=mode)
-
+        smat = blockdiag([sc.eye(d * d, mode)[:, s]
+                          for d, s in zip(dims, swaps)])
         if mode == sc.EXACT:
-            # diagonal rational densities commute: trivial modular structure
-            self.delta = sc.eye(dim, mode)
-            self.jmat = smat.copy()
+            delta, jmat = sc.eye(dim, mode), smat
         else:
-            self.delta = sc.zeros((dim, dim), mode)
-            self.jmat = sc.zeros((dim, dim), mode)
-            for b, d in enumerate(space.block_dims):
-                rho = sc.to_float_array(space.density[b])
-                ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-                if ev.min() <= 0:
-                    raise ValidationError("density not faithful")
-                rh = (vec * np.sqrt(ev)) @ vec.conj().T
-                rhi = (vec / np.sqrt(ev)) @ vec.conj().T
-                rinv = (vec / ev) @ vec.conj().T
-                for i in range(d):
-                    for j in range(d):
-                        u = np.zeros((d, d), dtype=complex)
-                        u[i, j] = 1.0
-                        dm = rho @ u @ rinv
-                        jm = rh @ u.conj().T @ rhi
-                        for k in range(d):
-                            for l in range(d):
-                                col = pos[(b, i, j)]
-                                self.delta[pos[(b, k, l)], col] = dm[k, l]
-                                self.jmat[pos[(b, k, l)], col] = jm[k, l]
+            powers = space.density_powers()
+            delta = blockdiag([kron(rho, rinv.T) for rho, (_, _, rinv)
+                               in zip(space.density, powers)])
+            jmat = blockdiag([kron(rh, rhi.T)[:, s]
+                              for (rh, rhi, _), s in zip(powers, swaps)])
+        super().__init__(
+            gram=blockdiag([kron(e, rho.T)
+                            for e, rho in zip(eyes, space.density)]),
+            smat=smat, lmul=lmul,
+            unit=np.concatenate([e.ravel() for e in eyes]),
+            delta=delta, jmat=jmat, mode=mode)
 
     def eta(self, x):
         """Coordinates of the element x in the matrix-unit basis."""
-        v = sc.zeros(self.dim, self.mode)
-        for a, (b, i, j) in enumerate(self.units):
-            v[a] = x[b][i, j]
-        return v
+        return sc.array(np.concatenate([np.asarray(b).ravel() for b in x]),
+                        self.mode)
 
     def from_eta(self, v):
-        blocks = [sc.zeros((d, d), self.mode) for d in self.space.block_dims]
-        for a, (b, i, j) in enumerate(self.units):
-            blocks[b][i, j] = v[a]
-        return blocks
+        """The element whose matrix-unit coordinates are v."""
+        dims = self.space.block_dims
+        parts = np.split(sc.array(v, self.mode),
+                         np.cumsum([d * d for d in dims])[:-1])
+        return [p.reshape(d, d).copy() for p, d in zip(parts, dims)]
 
     def phi(self, x):
         return self.space.phi(x)
@@ -130,6 +133,9 @@ class FockSpace:
     """Bookkeeping for the truncation C Omega + H + ... + H^{x L}."""
 
     def __init__(self, alg, L, mode=None):
+        if L > MAX_TRUNCATION:
+            raise SizeLimitError("truncation %d exceeds the cap %d"
+                                 % (L, MAX_TRUNCATION))
         if L < 0:
             raise DomainError("truncation must be >= 0")
         self.alg = alg

@@ -65,6 +65,19 @@ class NcProbSpace:
                 if np.linalg.eigvalsh(h).min() <= 0:
                     raise NotPsdError("density is not positive definite")
 
+    def density_powers(self):
+        """Per block, the float (rho^{1/2}, rho^{-1/2}, rho^{-1})."""
+        out = []
+        for b in self.density:
+            rho = sc.to_float_array(b)
+            ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+            if ev.min() <= 0:
+                raise ValidationError("density not faithful")
+            out.append(((vec * np.sqrt(ev)) @ vec.conj().T,
+                        (vec / np.sqrt(ev)) @ vec.conj().T,
+                        (vec / ev) @ vec.conj().T))
+        return out
+
     @property
     def dim(self):
         """Linear dimension of the algebra."""

@@ -15,6 +15,12 @@ under which the dual of T is the Petz (KMS) adjoint
 with Tt the trace adjoint.  On L^2 the dual acts as J_M T2^* J_N, which the
 tests check against this closed form.
 
+L^2(M, phi) itself, with its Gram, S, J and left multiplication on matrix
+units, is built once, by ``fock.GnsAlgebra``.  ``L2Space`` transports that
+core to orthonormal coordinates through the Cholesky factor of its Gram,
+and the Stinespring correspondence and the duality isometry read the
+core's matrices directly.
+
 The second quantization dilates through the three-summand space
 L^2(M) + H_T + L^2(N): an isometry k_M feeds the source fields into the
 Stinespring correspondence H_T, the coisometry p_N compresses onto the
@@ -30,8 +36,8 @@ from . import _scalars as sc
 from .algebra import PseudoHilbertAlgebra, trivial_algebra
 from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
                      ValidationError)
-from .fock import (PROJECTIVE, FockOperator, FockSpace, kron_powers, wick,
-                   wick_words)
+from .fock import (PROJECTIVE, FockOperator, FockSpace, GnsAlgebra,
+                   kron_powers, wick, wick_words)
 from .ncps import NcProbSpace
 
 GRAM_NULL_RTOL = 1e-9
@@ -62,47 +68,29 @@ def _compress(space, mat):
 class L2Space:
     """Orthonormal coordinates on L^2(M, phi) = (M, <x,y> = tr(rho x* y)).
 
-    Matrix units are the raw basis; ``chol`` is the Cholesky factor of the
-    raw Gram matrix, so raw coefficients u and orthonormal coordinates c
-    are related by c = chol^H u.
+    A Cholesky transport of the matrix-unit core ``fock.GnsAlgebra``, built
+    over a float copy of the space: ``chol`` is the Cholesky factor of the
+    core's Gram matrix, so matrix-unit coefficients u and orthonormal
+    coordinates c are related by c = chol^H u.
     """
 
     def __init__(self, space):
         self.space = space
-        self.units = []
-        for b, d in enumerate(space.block_dims):
-            for i in range(d):
-                for j in range(d):
-                    self.units.append((b, i, j))
-        self.dim = len(self.units)
-        gram = np.zeros((self.dim, self.dim), dtype=complex)
-        rho = [sc.to_float_array(r) for r in space.density]
-        for a, (b1, i, j) in enumerate(self.units):
-            for c, (b2, k, l) in enumerate(self.units):
-                if b1 == b2 and i == k:
-                    gram[a, c] = rho[b1][l, j]
-        self.gram = gram
-        self.chol = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+        if space.mode != sc.FLOAT:
+            space = NcProbSpace(space.block_dims, space.density, sc.FLOAT)
+        self._alg = GnsAlgebra(space)
+        self.units = self._alg.units
+        self.dim = self._alg.dim
+        self.gram = self._alg.gram
+        self.chol = np.linalg.cholesky(0.5 * (self.gram + self.gram.conj().T))
         self._chol_hinv = np.linalg.inv(self.chol.conj().T)
-
-    def unit_coeffs(self, x):
-        v = np.zeros(self.dim, dtype=complex)
-        for a, (b, i, j) in enumerate(self.units):
-            v[a] = complex(sc.to_float_array(x[b])[i, j])
-        return v
-
-    def from_unit_coeffs(self, v):
-        out = [np.zeros((d, d), dtype=complex) for d in self.space.block_dims]
-        for a, (b, i, j) in enumerate(self.units):
-            out[b][i, j] = v[a]
-        return out
 
     def to_onb(self, x):
         """eta(x) in orthonormal coordinates."""
-        return self.chol.conj().T @ self.unit_coeffs(x)
+        return self.chol.conj().T @ self._alg.eta(x)
 
     def from_onb(self, c):
-        return self.from_unit_coeffs(self._chol_hinv @ c)
+        return self._alg.from_eta(self._chol_hinv @ c)
 
     def linear_map_onb(self, unit_matrix):
         """Transport a linear map given on unit coefficients to the onb."""
@@ -114,55 +102,23 @@ class L2Space:
 
     def lmult_onb(self, x):
         """Left multiplication by the element x, on onb coordinates."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = {u: k for k, u in enumerate(self.units)}
-        xf = [sc.to_float_array(b) for b in x]
-        for a, (b, i, j) in enumerate(self.units):
-            d = self.space.block_dims[b]
-            for k in range(d):
-                if xf[b][k, i] != 0:
-                    m[pos[(b, k, j)], a] += xf[b][k, i]
-        return self.linear_map_onb(m)
+        return self.linear_map_onb(self._alg.pi_l(self._alg.eta(x)))
 
     def smat_onb(self):
-        pos = {u: k for k, u in enumerate(self.units)}
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, (b, i, j) in enumerate(self.units):
-            m[pos[(b, j, i)], a] = 1.0
-        return self.antilinear_map_onb(m)
+        return self.antilinear_map_onb(self._alg.smat)
 
     def jmat_onb(self):
         """J = S Delta^{-1/2}: antilinear matrix on onb coordinates."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = {u: k for k, u in enumerate(self.units)}
-        for b, d in enumerate(self.space.block_dims):
-            rho = sc.to_float_array(self.space.density[b])
-            ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-            rh = (vec * np.sqrt(ev)) @ vec.conj().T
-            rhi = (vec / np.sqrt(ev)) @ vec.conj().T
-            for i in range(d):
-                for j in range(d):
-                    u = np.zeros((d, d), dtype=complex)
-                    u[i, j] = 1.0
-                    jm = rh @ u.conj().T @ rhi
-                    col = pos[(b, i, j)]
-                    for k in range(d):
-                        for l in range(d):
-                            m[pos[(b, k, l)], col] = jm[k, l]
-        return self.antilinear_map_onb(m)
+        return self.antilinear_map_onb(self._alg.jmat)
 
     def onb_algebra(self):
         """PseudoHilbertAlgebra view (gram = identity) for Fock builders."""
-        lmul = []
-        for k in range(self.dim):
-            e = np.zeros(self.dim, dtype=complex)
-            e[k] = 1.0
-            lmul.append(self.lmult_onb(self.from_onb(e)))
-        alg = PseudoHilbertAlgebra(
+        lmul = [self.linear_map_onb(self._alg.pi_l(u))
+                for u in self._chol_hinv.T]
+        return PseudoHilbertAlgebra(
             gram=np.eye(self.dim), smat=self.smat_onb(), lmul=lmul,
-            unit=self.to_onb(self.space.identity()), mode=sc.FLOAT)
-        alg.jmat = self.jmat_onb()
-        return alg
+            unit=self.chol.conj().T @ self._alg.unit,
+            jmat=self.jmat_onb(), mode=sc.FLOAT)
 
 
 @dataclass
@@ -298,11 +254,7 @@ def check_admissible(t, tol=1e-10):
 def biweight(space, x, y):
     """[x, y] = trace(rho^{1/2} y rho^{1/2} x); symmetric, [1, y] = phi(y)."""
     total = 0j
-    for d, rho, xb, yb in zip(space.block_dims,
-                              space.density, x, y):
-        r = sc.to_float_array(rho)
-        ev, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
-        rh = (vec * np.sqrt(ev)) @ vec.conj().T
+    for (rh, _, _), xb, yb in zip(space.density_powers(), x, y):
         total += np.trace(rh @ sc.to_float_array(yb) @ rh @
                           sc.to_float_array(xb))
     return total
@@ -315,18 +267,8 @@ def petz_dual(t):
     T*(n) = rho_M^{-1/2} Tt(rho_N^{1/2} n rho_N^{1/2}) rho_M^{-1/2}.
     """
     src, tgt = t.source, t.target
-    rho_m = _embed(src, src.density)
-    rho_n = _embed(tgt, tgt.density)
-
-    def half_powers(r):
-        ev, vec = np.linalg.eigh(0.5 * (r + r.conj().T))
-        if ev.min() <= 0:
-            raise ValidationError("density not faithful")
-        return ((vec * np.sqrt(ev)) @ vec.conj().T,
-                (vec / np.sqrt(ev)) @ vec.conj().T)
-
-    rmh, rmhi = half_powers(rho_m)
-    rnh, _ = half_powers(rho_n)
+    rmhi = _embed(src, [rhi for _, rhi, _ in src.density_powers()])
+    rnh = _embed(tgt, [rh for rh, _, _ in tgt.density_powers()])
 
     def dual_apply(n_elem):
         z = rnh @ _embed(tgt, n_elem) @ rnh
@@ -374,36 +316,19 @@ class GramSpace:
 def stinespring_bimodule(t, l2m=None, l2n=None):
     l2m = l2m or L2Space(t.source)
     l2n = l2n or L2Space(t.target)
-    units_m = l2m.units
-    units_n = l2n.units
-    dm, dn = len(units_m), len(units_n)
+    am, an = l2m._alg, l2n._alg
+    dm, dn = am.dim, an.dim
     raw = dm * dn
-    rho_n = [sc.to_float_array(r) for r in t.target.density]
 
-    def unit_elem(space, u):
-        out = [np.zeros((d, d), dtype=complex) for d in space.block_dims]
-        out[u[0]][u[1], u[2]] = 1.0
-        return out
-
-    # Gram of m_a (x) eta(n_c): <.,.> = tr(rho_N n1* T(m1* m2) n2)
-    t_vals = {}
-    for a1, u1 in enumerate(units_m):
-        for a2, u2 in enumerate(units_m):
-            m1 = unit_elem(t.source, u1)
-            m2 = unit_elem(t.source, u2)
-            prod = t.source.multiply(t.source.adjoint(m1), m2)
-            t_vals[(a1, a2)] = _embed(t.target, t.apply(prod))
-
+    # Gram of m_a (x) eta(n_c): <.,.> = tr(rho_N n1* T(m1* m2) n2), the
+    # (c1, c2) entry of G_N pi_l(eta(T(m1* m2)))
     gram = np.zeros((raw, raw), dtype=complex)
-    for a1, u1 in enumerate(units_m):
-        for c1, f1 in enumerate(units_n):
-            for a2, u2 in enumerate(units_m):
-                for c2, f2 in enumerate(units_n):
-                    n1 = _embed(t.target, unit_elem(t.target, f1))
-                    n2 = _embed(t.target, unit_elem(t.target, f2))
-                    val = np.trace(_embed(t.target, t.target.density) @
-                                   n1.conj().T @ t_vals[(a1, a2)] @ n2)
-                    gram[a1 * dn + c1, a2 * dn + c2] = val
+    for a1 in range(dm):
+        for a2 in range(dm):
+            prod = am.multiply(am.s_apply(am.basis(a1)), am.basis(a2))
+            tv = an.eta(t.apply(am.from_eta(prod)))
+            gram[a1 * dn:(a1 + 1) * dn,
+                 a2 * dn:(a2 + 1) * dn] = an.gram @ an.pi_l(tv)
 
     ev, vec = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     if ev.min() < -GRAM_NULL_RTOL * max(1.0, abs(ev).max()):
@@ -417,39 +342,18 @@ def stinespring_bimodule(t, l2m=None, l2n=None):
     r = int(keep.sum())
 
     # left action of matrix units of M; right action of units of N (via op)
-    left_actions = {}
-    for am, um in enumerate(units_m):
-        raw_map = np.zeros((raw, raw), dtype=complex)
-        me = unit_elem(t.source, um)
-        lm = np.zeros((dm, dm), dtype=complex)
-        pos = {u: k for k, u in enumerate(units_m)}
-        for a, (b, i, j) in enumerate(units_m):
-            prod = t.source.multiply(me, unit_elem(t.source, (b, i, j)))
-            coeffs = l2m.unit_coeffs(prod)
-            lm[:, a] = coeffs
-        raw_map = np.kron(lm, np.eye(dn))
-        left_actions[um] = project @ raw_map @ unproject
-
+    left_actions = {u: project @ np.kron(lm, np.eye(dn)) @ unproject
+                    for u, lm in zip(am.units, am.lmul)}
     right_actions = {}
-    jn = l2n.jmat_onb()
-    for cn, un in enumerate(units_n):
-        ne = unit_elem(t.target, un)
-        # y^op = J y* J on L^2(N): v -> jn conj(A) conj(jn) v with A the
-        # onb matrix of left multiplication by y*
-        rm_onb = jn @ np.conj(l2n.lmult_onb(t.target.adjoint(ne))) @ np.conj(jn)
-        rm_units = np.linalg.solve(l2n.chol.conj().T,
-                                   rm_onb @ l2n.chol.conj().T)
-        raw_map = np.kron(np.eye(dm), rm_units)
-        right_actions[un] = project @ raw_map @ unproject
+    for c, u in enumerate(an.units):
+        # y^op = J y* J on unit coefficients: J conj(pi_l(eta(y*))) conj(J).
+        # pi_r(y) differs from it when rho_N is not tracial.
+        ystar = an.pi_l(an.s_apply(an.basis(c)))
+        rm = an.jmat @ np.conj(ystar) @ np.conj(an.jmat)
+        right_actions[u] = project @ np.kron(np.eye(dm), rm) @ unproject
 
     # i_N: eta_psi (onb) -> 1 (x) eta
-    one_m = l2m.unit_coeffs(t.source.identity())
-    i_n = np.zeros((r, l2n.dim), dtype=complex)
-    for k in range(l2n.dim):
-        e = np.zeros(l2n.dim, dtype=complex)
-        e[k] = 1.0
-        raw_vec = np.kron(one_m, np.linalg.solve(l2n.chol.conj().T, e))
-        i_n[:, k] = project @ raw_vec
+    i_n = project @ np.kron(am.unit[:, None], l2n._chol_hinv)
     return GramSpace(dim=r, project=project, unproject=unproject,
                      left_actions=left_actions, right_actions=right_actions,
                      i_n=i_n, raw_dim=raw)
@@ -469,42 +373,14 @@ def conjugate_embedding(t, hs_dual=None, hs=None, l2m=None, l2n=None):
     hs = hs or stinespring_bimodule(t, l2m, l2n)
     hs_dual = hs_dual or stinespring_bimodule(tstar, l2n, l2m)
 
-    jm_units = _antilinear_j_units(l2m)
-    jn_units = _antilinear_j_units(l2n)
+    # the raw basis vector e_c (x) e_a of H_{T*} is n (x) J eta(m) with
+    # eta(n) = e_c and eta(m) = J e_a (J is an involution); its image is
+    # the conjugate of m (x) J eta(n) = J e_a (x) J e_c
     dm, dn = l2m.dim, l2n.dim
-    cols = np.zeros((hs.dim, dn * dm), dtype=complex)
-    for c in range(dn):
-        for a in range(dm):
-            # source raw basis vector: unit_n_c (x) unit_m_a; write
-            # unit_m_a = J eta(m') with m' coefficients jm_units^{-1} e_a
-            e_a = np.zeros(dm, dtype=complex)
-            e_a[a] = 1.0
-            mprime = np.linalg.solve(jm_units, e_a).conj()
-            e_c = np.zeros(dn, dtype=complex)
-            e_c[c] = 1.0
-            target_raw = np.kron(mprime, jn_units @ np.conj(e_c))
-            cols[:, c * dm + a] = np.conj(hs.project @ target_raw)
+    swap = np.arange(dm * dn).reshape(dm, dn).T.ravel()
+    raw = np.kron(l2m._alg.jmat, l2n._alg.jmat)[:, swap]
+    cols = np.conj(hs.project @ raw)
     return cols @ hs_dual.unproject, hs_dual, hs
-
-
-def _antilinear_j_units(l2):
-    """J on unit coefficients: v -> M conj(v)."""
-    m = np.zeros((l2.dim, l2.dim), dtype=complex)
-    pos = {u: k for k, u in enumerate(l2.units)}
-    for b, d in enumerate(l2.space.block_dims):
-        rho = sc.to_float_array(l2.space.density[b])
-        ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-        rh = (vec * np.sqrt(ev)) @ vec.conj().T
-        rhi = (vec / np.sqrt(ev)) @ vec.conj().T
-        for i in range(d):
-            for j in range(d):
-                u = np.zeros((d, d), dtype=complex)
-                u[i, j] = 1.0
-                jm = rh @ u.conj().T @ rhi
-                for k in range(d):
-                    for l in range(d):
-                        m[pos[(b, k, l)], pos[(b, i, j)]] = jm[k, l]
-    return m
 
 
 # -- second quantization -------------------------------------------------------
@@ -539,10 +415,9 @@ class Dilation:
         out = np.zeros((dm + r + dn, dm + r + dn), dtype=complex)
         out[:dm, :dm] = self.l2m.lmult_onb(x_elem)
         act = np.zeros((r, r), dtype=complex)
-        xf = [sc.to_float_array(b) for b in x_elem]
-        for a, u in enumerate(self.l2m.units):
-            if xf[u[0]][u[1], u[2]] != 0:
-                act += xf[u[0]][u[1], u[2]] * self.hs.left_actions[u]
+        for c, u in zip(self.l2m._alg.eta(x_elem), self.l2m.units):
+            if c != 0:
+                act += c * self.hs.left_actions[u]
         out[dm:dm + r, dm:dm + r] = act
         return out
 
@@ -553,14 +428,8 @@ def build_dilation(t):
     hs = stinespring_bimodule(t, l2m, l2n)
     dm, r, dn = l2m.dim, hs.dim, l2n.dim
 
-    # j_M: eta(m) -> m (x)_T eta(1_N)
-    one_n_units = l2n.unit_coeffs(t.target.identity())
-    j_m = np.zeros((r, dm), dtype=complex)
-    for k in range(dm):
-        e = np.zeros(dm, dtype=complex)
-        e[k] = 1.0
-        raw_vec = np.kron(np.linalg.solve(l2m.chol.conj().T, e), one_n_units)
-        j_m[:, k] = hs.project @ raw_vec
+    # j_M: eta(m) (onb) -> m (x)_T eta(1_N)
+    j_m = hs.project @ np.kron(l2m._chol_hinv, l2n._alg.unit[:, None])
 
     k_m = np.zeros((dm + r + dn, dm), dtype=complex)
     k_m[:dm, :] = _psd_sqrt(np.eye(dm) - j_m.conj().T @ j_m)

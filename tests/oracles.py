@@ -7,7 +7,9 @@ dense oracles compute the algebra primitives from the full structure
 matrices, where the library reads only their nonzero entries.  The Fock
 oracles interpret operators letter by letter, one basis column at a time,
 and build Wick operators by the defining recursion, where the library
-compiles sparse letter blocks and the closed splitting sum.
+compiles sparse letter blocks and the closed splitting sum.  The modular
+oracle applies Delta and J to one matrix unit at a time, where the library
+uses their closed Kronecker forms per block.
 """
 
 import numpy as np
@@ -152,6 +154,39 @@ def dense_fock_inner(u, v):
         o, n = fock.offsets[k], fock.degree_dims[k]
         total = total + sc.conj(du[o:o + n]) @ block @ dv[o:o + n]
     return total
+
+
+# -- GNS modular data ---------------------------------------------------------
+
+def gns_modular_units(space):
+    """(Delta, jmat) of a float space on the row-major matrix units.
+
+    Column (b, i, j) is Delta(e_ij) = rho e_ij rho^{-1}, resp.
+    J(e_ij) = rho^{1/2} e_ij* rho^{-1/2}, written out in the units.
+    """
+    units = [(b, i, j) for b, d in enumerate(space.block_dims)
+             for i in range(d) for j in range(d)]
+    pos = {u: k for k, u in enumerate(units)}
+    delta = np.zeros((len(units), len(units)), dtype=complex)
+    jmat = np.zeros_like(delta)
+    for b, d in enumerate(space.block_dims):
+        rho = sc.to_float_array(space.density[b])
+        ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        rh = (vec * np.sqrt(ev)) @ vec.conj().T
+        rhi = (vec / np.sqrt(ev)) @ vec.conj().T
+        rinv = (vec / ev) @ vec.conj().T
+        for i in range(d):
+            for j in range(d):
+                u = np.zeros((d, d), dtype=complex)
+                u[i, j] = 1.0
+                dm = rho @ u @ rinv
+                jm = rh @ u.conj().T @ rhi
+                col = pos[(b, i, j)]
+                for k in range(d):
+                    for l in range(d):
+                        delta[pos[(b, k, l)], col] = dm[k, l]
+                        jmat[pos[(b, k, l)], col] = jm[k, l]
+    return delta, jmat
 
 
 # -- Fock operators -----------------------------------------------------------

@@ -272,6 +272,50 @@ def test_cp_gamma_past_dilation_cap_exit_2(capsys):
     assert json.loads(err)["code"] == "domain"
 
 
+def _decode_matrix(rows):
+    return np.array([[complex(*v) if isinstance(v, list) else v for v in row]
+                     for row in rows], dtype=complex)
+
+
+@pytest.mark.parametrize("op", ["check", "dual", "gamma"])
+def test_cp_verbs_on_exact_spaces_match_float(capsys, op):
+    # rational densities in exact mode are floated once, so every verb
+    # agrees with the same request in float mode
+    def request(mode):
+        src = {"blocks": [1, 1], "mode": mode,
+               "density": [[[{"num": 1, "den": 3}]], [[{"num": 2, "den": 3}]]]}
+        tgt = {"blocks": [1, 1], "mode": mode,
+               "density": [[[{"num": 3, "den": 5}]], [[{"num": 1, "den": 2}]]]}
+        payload = {"source": src, "target": tgt, "form": "kraus",
+                   "kraus": [[[0.5, 0.1], [0.0, 0.4]]],
+                   "wick_legs": [[1.0, [0.5, -0.25]]]}
+        code, out, _ = capture(capsys, ["cp", op,
+                                        "--inline", json.dumps(payload)])
+        assert code == 0
+        return json.loads(out)
+
+    exact, flt = request("exact"), request("float")
+    if op == "check":
+        assert exact["admissible"] is True and exact == flt
+    elif op == "dual":
+        assert exact["source"]["mode"] == "exact"
+        for ke, kf in zip(exact["kraus"], flt["kraus"], strict=True):
+            assert np.abs(_decode_matrix(ke) -
+                          _decode_matrix(kf)).max() <= 1e-12
+    else:
+        assert np.abs(_decode_matrix(exact["matrix"]) -
+                      _decode_matrix(flt["matrix"])).max() <= 1e-12
+
+
+def test_fock_truncation_past_cap_exit_2(capsys):
+    payload = json.dumps({
+        "algebra": {"gram": [[1.0]], "s": [[1.0]], "lmul": [[[0.0]]]},
+        "truncation": 100000, "words": [[1.0]]})
+    code, out, err = capture(capsys, ["fock", "moments", "--inline", payload])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "size_limit"
+
+
 def test_cp_dual_roundtrips_via_json(capsys):
     space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]],
              "mode": "float"}

@@ -7,20 +7,23 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freepoisson import _scalars as sc
 from freepoisson.algebra import trivial_algebra
 from freepoisson.errors import (DomainError, NotTracialError,
-                                OverflowError_, TruncationError)
-from freepoisson.fock import (PROJECTIVE, STRICT, FockSpace, annihilation,
-                              creation, field_X, field_Y, gauge, gns_algebra,
-                              haagerup_bound, identity, modular_ops,
-                              right_field, vacuum_moment, wick,
+                                OverflowError_, SizeLimitError,
+                                TruncationError)
+from freepoisson.fock import (MAX_TRUNCATION, PROJECTIVE, STRICT, FockSpace,
+                              annihilation, creation, field_X, field_Y, gauge,
+                              gns_algebra, haagerup_bound, identity,
+                              modular_ops, right_field, vacuum_moment, wick,
                               wick_embedding_In, wick_multiply,
                               wick_sum_operator)
 from freepoisson.ncpart import enumerate_nc
 from freepoisson.ncps import NcProbSpace, diag_space
-from oracles import wick_by_recursion
+from freepoisson.quantize import L2Space
+from oracles import gns_modular_units, wick_by_recursion
 
 
 def rand_frac(rng, lo=-3, hi=3, den=3):
@@ -93,6 +96,52 @@ def test_gns_matrix_block_modular_data():
     lhs = sc.to_float_array(alg.smat)
     rhs = sc.to_float_array(alg.jmat) @ np.conj(dhalf)
     assert np.allclose(lhs, rhs)
+
+
+def random_density(data, d):
+    """A complex, generally non-diagonal positive definite d x d density."""
+    re = data.draw(st.lists(st.floats(-1, 1), min_size=d * d, max_size=d * d))
+    im = data.draw(st.lists(st.floats(-1, 1), min_size=d * d, max_size=d * d))
+    a = np.reshape(re, (d, d)) + 1j * np.reshape(im, (d, d))
+    return a @ a.conj().T + 0.2 * np.eye(d)
+
+
+def assert_rel_close(got, want, rtol):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert float(np.abs(got - want).max()) <= rtol * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gns_closed_forms_match_per_unit_oracle(data):
+    dims = data.draw(st.sampled_from([[1, 1], [2], [2, 1], [3]]))
+    space = NcProbSpace(dims, [random_density(data, d) for d in dims],
+                        mode=sc.FLOAT)
+    alg = gns_algebra(space)
+    delta, jmat = gns_modular_units(space)
+    assert_rel_close(alg.delta, delta, 1e-13)
+    assert_rel_close(alg.jmat, jmat, 1e-13)
+    alg.validate()
+
+    l2 = L2Space(space)
+    jo = l2.jmat_onb()
+    # Delta is positive in the orthonormal coordinates; S = J Delta^{1/2}
+    d_onb = l2.linear_map_onb(alg.delta)
+    ev, vec = np.linalg.eigh(0.5 * (d_onb + d_onb.conj().T))
+    assert ev.min() > 0
+    dhalf = (vec * np.sqrt(ev)) @ vec.conj().T
+    assert_rel_close(l2.smat_onb(), jo @ np.conj(dhalf), 1e-10)
+    # J is an antiunitary involution there
+    assert_rel_close(jo @ np.conj(jo), np.eye(l2.dim), 1e-10)
+    assert_rel_close(jo.conj().T @ jo, np.eye(l2.dim), 1e-10)
+
+    # L2Space is the Cholesky transport of the core
+    assert_rel_close(l2.chol @ l2.chol.conj().T, alg.gram, 1e-13)
+    assert_rel_close(l2.smat_onb(), l2.antilinear_map_onb(alg.smat), 1e-13)
+    assert_rel_close(l2.jmat_onb(), l2.antilinear_map_onb(alg.jmat), 1e-13)
+    x = [random_density(data, d) - 0.5j * np.eye(d) for d in dims]
+    assert_rel_close(l2.lmult_onb(x),
+                     l2.linear_map_onb(alg.pi_l(alg.eta(x))), 1e-13)
 
 
 def test_gns_rejects_non_faithful():
@@ -321,6 +370,13 @@ def test_dense_cap_bounds_allocated_entries():
     op = creation(FockSpace(alg, 8), xi, PROJECTIVE)
     assert op.matrix().shape == (511, 511)
     assert abs(op.norm() - np.linalg.norm(xi)) < 1e-12
+
+
+def test_truncation_capped_before_bookkeeping():
+    alg = trivial_algebra(2)
+    assert FockSpace(alg, MAX_TRUNCATION).L == MAX_TRUNCATION
+    with pytest.raises(SizeLimitError):
+        FockSpace(alg, MAX_TRUNCATION + 1)
 
 
 def test_orthogonal_projections_give_free_additive_fields():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freepoisson import _scalars as sc
 from freepoisson.errors import DomainError, ValidationError
@@ -149,6 +150,45 @@ def test_dual_l2_action_is_J_T2star_J():
     # antilinear composition J_M T2^* J_N as a linear matrix
     composed = jm @ np.conj(t2.conj().T) @ np.conj(jn)
     assert np.allclose(composed, d2, atol=1e-10)
+
+
+def draw_matrix(data, rows, cols):
+    n = rows * cols
+    re = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    im = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    return np.reshape(re, (rows, cols)) + 1j * np.reshape(im, (rows, cols))
+
+
+def draw_space(data):
+    dims = data.draw(st.sampled_from([[1, 1], [2], [2, 1]]))
+    dens = []
+    for d in dims:
+        a = draw_matrix(data, d, d)
+        dens.append(a @ a.conj().T + 0.2 * np.eye(d))
+    return NcProbSpace(dims, dens, mode=sc.FLOAT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_petz_dual_identity_and_involution_random(data):
+    # the dual is defined for any CP map, admissible or not
+    src, tgt = draw_space(data), draw_space(data)
+    dm, dn = sum(src.block_dims), sum(tgt.block_dims)
+    kraus = [draw_matrix(data, dn, dm)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    t = CpMap(src, tgt, kraus)
+    d = petz_dual(t)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    for _ in range(3):
+        m = random_element(rng, src)
+        n = random_element(rng, tgt)
+        lhs = biweight(src, d.apply(n), m)
+        rhs = biweight(tgt, n, t.apply(m))
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+    x = random_element(rng, src)
+    got = _embed(tgt, petz_dual(d).apply(x))
+    want = _embed(tgt, t.apply(x))
+    assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_weight_preserving_inclusion_dualizes_to_expectation():
