@@ -18,9 +18,12 @@ detects overflow past the truncation letter by letter ("strict" mode) or
 projects it away ("projective" mode).  Float matrices and norms are built
 from sparse letter blocks instead: each letter is one CSR matrix on the
 truncated space (kron(leg, I) per degree), a word is their product, and
-``FockOperator.sparse`` sums the words.  Second quantization compiles its
-words from the same blocks.  scipy.sparse is imported only there, so
-exact work never loads it.
+``FockOperator.sparse`` sums the words.  ``FockOperator.norm`` never
+densifies: it takes the top singular value of the Gram-twisted CSR with
+ARPACK, under a budget on the nonzeros it builds.  Second quantization
+compiles its words from the same blocks.  scipy.sparse and
+scipy.sparse.linalg are imported inside these functions only, so exact
+work never loads them.
 """
 
 import numpy as np
@@ -35,6 +38,11 @@ PROJECTIVE = "projective"
 # FockSpace keeps dim**k for every degree k <= L, so the truncation is
 # capped before that list is built
 MAX_TRUNCATION = 1000
+# norm() refuses, before building anything, a space whose Gram powers and
+# largest possible letter block would hold more nonzeros than this
+MAX_NORM_NNZ = 10 ** 6
+# below this many dimensions a dense SVD is faster than ARPACK
+DENSE_NORM_DIM = 128
 
 
 # -- GNS construction ------------------------------------------------------
@@ -151,11 +159,10 @@ class FockSpace:
         self._gram_half = None
 
     def check_dense_cap(self):
-        """Dense realizations are capped; sparse vector work is not.
+        """Dense matrices are capped; sparse vector work and norm() are not.
 
-        matrix() and norm() allocate total_dim^2 entries each, and
-        gram_half() up to as many nonzeros; norm() is checked through
-        gram_half(), which it calls first.
+        matrix() allocates total_dim^2 entries.  norm() stays sparse and is
+        bounded by the nonzero budget that gram_half() checks instead.
         """
         if self.total_dim ** 2 > 4 * 10 ** 6:
             raise DomainError("truncated space too large for dense "
@@ -216,13 +223,23 @@ class FockSpace:
         return total
 
     def gram_half(self):
-        """Blockdiag (G^{1/2})^{x k} and its inverse as CSR (float only)."""
+        """Blockdiag (G^{1/2})^{x k} and its inverse as CSR (float only).
+
+        Raises DomainError, before either is built, when they and the
+        largest letter block (a full gauge leg, dim^2 nonzeros in each
+        degree below L) would hold more than MAX_NORM_NNZ nonzeros.
+        """
         if self._gram_half is None:
-            self.check_dense_cap()
             g = sc.to_float_array(self.gram)
             ev, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
             gh = (vec * np.sqrt(np.clip(ev, 0, None))) @ vec.conj().T
             ghi = (vec / np.sqrt(np.clip(ev, 1e-300, None))) @ vec.conj().T
+            nnz = self.dim ** 2 * (self.total_dim - self.degree_dims[-1])
+            for m in (gh, ghi):
+                nnz += sum(np.count_nonzero(m) ** k for k in range(self.L + 1))
+            if nnz > MAX_NORM_NNZ:
+                raise DomainError("truncated space too large for norm(): "
+                                  "%d nonzeros > %d" % (nnz, MAX_NORM_NNZ))
             self._gram_half = (kron_powers(gh, self.L),
                                kron_powers(ghi, self.L))
         return self._gram_half
@@ -509,24 +526,47 @@ class FockOperator:
         Float, and projective like matrix().  ``left`` (default the
         identity) multiplies every word, so a compression onto a smaller
         space never forms the operator itself.  Each distinct letter is
-        built once per call.
+        built once per call.  The words are walked in sorted order as a
+        prefix trie, so a prefix shared by several words is multiplied
+        once and only the current path's products are held; the scaled
+        words are summed by one COO build.
         """
         import scipy.sparse as sp
         f = self.fock
-        rows = f.total_dim if left is None else left.shape[0]
-        out = sp.csr_matrix((rows, f.total_dim), dtype=complex)
+        shape = (f.total_dim if left is None else left.shape[0], f.total_dim)
         blocks = {}
-        for c, letters in self.terms:
-            word = left
-            for letter in letters:
-                key = (letter[0], id(letter[1]))
+        keyed = sorted(
+            (tuple((kind, id(payload)) for kind, payload in letters), i)
+            for i, (_, letters) in enumerate(self.terms))
+        path, stack = (), []    # stack[j] = left @ L_1 @ ... @ L_{j+1}
+        rows, cols, data = [], [], []
+        for keys, i in keyed:
+            c, letters = self.terms[i]
+            same = 0
+            for a, b in zip(path, keys):
+                if a != b:
+                    break
+                same += 1
+            del stack[same:]
+            for key, letter in zip(keys[same:], letters[same:]):
                 if key not in blocks:
                     blocks[key] = _letter_matrix(f, letter)
-                word = blocks[key] if word is None else word @ blocks[key]
+                word = stack[-1] if stack else left
+                stack.append(blocks[key] if word is None
+                             else word @ blocks[key])
+            path = keys
+            word = stack[-1] if stack else left
             if word is None:
                 word = sp.identity(f.total_dim, dtype=complex, format="csr")
-            out = out + complex(c) * word
-        return out
+            coo = word.tocoo()
+            rows.append(coo.row)
+            cols.append(coo.col)
+            data.append(complex(c) * coo.data)
+        if not rows:
+            return sp.csr_matrix(shape, dtype=complex)
+        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                     np.concatenate(cols))),
+                             shape=shape)
 
     def matrix(self):
         """Dense matrix in the graded canonical basis (cached, projective).
@@ -553,14 +593,38 @@ class FockOperator:
     def norm(self):
         """Operator norm w.r.t. the Fock inner product (float).
 
-        The largest singular value of G^{1/2} A G^{-1/2}, taken in real
-        arithmetic when that matrix has no imaginary part.
+        The largest singular value of G^{1/2} A G^{-1/2}, formed as CSR
+        and never densified past DENSE_NORM_DIM: ARPACK (scipy's svds,
+        k=1) from a fixed random start vector, since an all-ones start
+        can lie in the kernel of these symmetric operators.  Repeated
+        calls return the same float, except that with a degenerate top
+        singular value ARPACK's last few ulps can depend on where its
+        work arrays land in memory.  Below DENSE_NORM_DIM dimensions, where
+        ARPACK is slower and rejects the smallest shapes, a dense SVD is
+        taken instead.  Either runs in real arithmetic when the twisted
+        matrix has no imaginary part.
         """
         half, halfinv = self.fock.gram_half()
-        twisted = (half @ self.sparse() @ halfinv).toarray()
-        if not twisted.imag.any():
-            twisted = twisted.real
-        return float(np.linalg.norm(twisted, 2))
+        twisted = half @ self.sparse() @ halfinv
+        scale = float(np.abs(twisted.data).max(initial=0.0))
+        if scale == 0.0:
+            return 0.0
+        # Scaled to a largest entry of 1, with entries below 1e-150 dropped,
+        # so that ARPACK's A* A cannot underflow.  The dropped part moves
+        # the norm by far less than an ulp, since the largest entry bounds
+        # the norm from below.  The parts are divided apart, as complex
+        # division by a subnormal overflows.
+        re, im = twisted.data.real / scale, twisted.data.imag / scale
+        re[np.abs(re) < 1e-150] = 0.0
+        im[np.abs(im) < 1e-150] = 0.0
+        twisted.data = re + 1j * im if im.any() else re
+        n = min(twisted.shape)
+        if n < DENSE_NORM_DIM:
+            return scale * float(np.linalg.norm(twisted.toarray(), 2))
+        from scipy.sparse.linalg import svds
+        v0 = np.random.default_rng(0).standard_normal(n)
+        return scale * float(svds(twisted, k=1, v0=v0,
+                                  return_singular_vectors=False)[0])
 
     def is_close(self, other, tol=1e-10, max_input_degree=None):
         """Equality as matrices on the truncated space.

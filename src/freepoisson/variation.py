@@ -153,24 +153,35 @@ def difference_words(exp, n_bins):
     return alg, terms
 
 
+def variation_error_squared(exp, n_bins):
+    """||D Omega||^2 of the realized difference vector.
+
+    Exact (a Fraction) when the experiment data is rational.  Each X(g) is
+    built once per distinct generator.
+    """
+    alg, terms = difference_words(exp, n_bins)
+    fock = FockSpace(alg, exp.truncation)
+    omega = fock.vacuum()
+    fields = {}     # id(g) -> X(g): a k-th power repeats one generator
+    total = None
+    for coeff, word in terms:
+        vec = omega
+        for g in reversed(word):
+            if id(g) not in fields:
+                fields[id(g)] = field_X(fock, g)
+            vec = fields[id(g)].apply(vec)
+        vec = vec.scale(coeff)
+        total = vec if total is None else total + vec
+    return total.inner(total)
+
+
 def variation_error(exp, n_bins):
     """L^2 distance of the binned k-th power sum from its limit.
 
     Exact (rational) when the experiment data is rational: the error is
     sqrt of an exactly computed squared norm.
     """
-    alg, terms = difference_words(exp, n_bins)
-    fock = FockSpace(alg, exp.truncation)
-    omega = fock.vacuum()
-    total = None
-    for coeff, word in terms:
-        vec = omega
-        for g in reversed(word):
-            vec = field_X(fock, g).apply(vec)
-        vec = vec.scale(coeff)
-        total = vec if total is None else total + vec
-    err2 = total.inner(total)
-    return math.sqrt(float(abs(err2)))
+    return math.sqrt(float(abs(variation_error_squared(exp, n_bins))))
 
 
 def rate_regression(n_values, errors):

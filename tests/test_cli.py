@@ -195,6 +195,40 @@ def test_fock_wick_verb(capsys):
     assert img == [{"index": [0, 0], "value": 2.0}]
 
 
+def _fock_norm_payload(gram, truncation, tensor):
+    """A function algebra's structure (S = 1, lmul[k] = e_kk) on ``gram``."""
+    n = len(gram)
+    lmul = [np.diag(np.eye(n)[k]).tolist() for k in range(n)]
+    return json.dumps({
+        "algebra": {"gram": gram, "s": np.eye(n).tolist(), "lmul": lmul,
+                    "unit": [1.0] * n},
+        "truncation": truncation, "tensor": tensor})
+
+
+def test_fock_norm_verb_past_dense_size(capsys):
+    # 2047 dimensions at L 10: far past the dense matrix cap
+    from freepoisson import _scalars as sc
+    from freepoisson.algebra import function_algebra
+    from freepoisson.fock import PROJECTIVE, FockSpace, wick
+    payload = _fock_norm_payload([[0.7, 0.0], [0.0, 1.1]], 10,
+                                 [[1.0, -0.5], [0.3, 2.0]])
+    code, out, _ = capture(capsys, ["fock", "norm", "--inline", payload])
+    assert code == 0
+    fk = FockSpace(function_algebra([0.7, 1.1], mode=sc.FLOAT), 10)
+    want = wick(fk, [np.array([1.0, -0.5]), np.array([0.3, 2.0])],
+                PROJECTIVE).norm()
+    assert abs(json.loads(out)["norm"] - want) <= 1e-12 * want
+
+
+def test_fock_norm_past_nonzero_budget_exit_2(capsys):
+    # a dense 3x3 Gram: its 8th tensor power alone has 9^8 nonzeros
+    gram = [[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]]
+    payload = _fock_norm_payload(gram, 8, [[1.0, -0.5, 0.25]])
+    code, out, err = capture(capsys, ["fock", "norm", "--inline", payload])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "domain"
+
+
 @pytest.mark.parametrize("mode, gram", [
     ("float", [[0.0]]),
     ("float", [[-1.0]]),

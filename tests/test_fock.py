@@ -359,17 +359,34 @@ def test_strict_mode_overflow_raises():
 
 
 def test_dense_cap_bounds_allocated_entries():
-    # matrix() and norm() allocate total_dim^2 entries: dim 2, L 8 has
-    # total_dim 511 and passes; L 11 has 4095 (1.7e7 entries) and raises
+    # matrix() allocates total_dim^2 entries: dim 2, L 8 has total_dim 511
+    # and passes; L 11 has 4095 (1.7e7 entries) and raises.  norm() stays
+    # sparse, so it is not capped there
     alg = trivial_algebra(2)
     xi = np.array([1.0, 0.5], dtype=complex)
     with pytest.raises(DomainError):
         creation(FockSpace(alg, 11), xi, PROJECTIVE).matrix()
-    with pytest.raises(DomainError):
-        creation(FockSpace(alg, 11), xi, PROJECTIVE).norm()
+    assert abs(creation(FockSpace(alg, 11), xi, PROJECTIVE).norm()
+               - np.linalg.norm(xi)) < 1e-12
     op = creation(FockSpace(alg, 8), xi, PROJECTIVE)
     assert op.matrix().shape == (511, 511)
     assert abs(op.norm() - np.linalg.norm(xi)) < 1e-12
+
+
+def test_norm_budget_refuses_before_building(monkeypatch):
+    # a dense 3x3 Gram has 9 nonzeros, so its 8th tensor power alone holds
+    # 9^8 = 4.3e7 > MAX_NORM_NNZ; nothing of that size may be built
+    import freepoisson.fock as fock_mod
+
+    def no_build(*args):
+        raise AssertionError("built a CSR past the nonzero budget")
+
+    monkeypatch.setattr(fock_mod, "kron_powers", no_build)
+    monkeypatch.setattr(fock_mod, "_letter_matrix", no_build)
+    gram = np.array([[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]])
+    fk = FockSpace(trivial_algebra(3, gram=gram), 8)
+    with pytest.raises(DomainError):
+        field_X(fk, np.array([1.0, 0.0, 0.0]), PROJECTIVE).norm()
 
 
 def test_truncation_capped_before_bookkeeping():
