@@ -408,7 +408,8 @@ def _letter_matrix(fock, letter):
     A left letter is kron(leg, I) and a right letter kron(I, leg) in each
     degree, with leg a column (creation), the Gram row of the payload
     (annihilation) or the payload matrix (gauge).  Legs past degree L are
-    dropped, as in projective application.
+    dropped, as in projective application.  The CSR is written in sorted
+    order straight from the index arithmetic.
     """
     import scipy.sparse as sp
     kind, payload = letter
@@ -421,26 +422,32 @@ def _letter_matrix(fock, letter):
         leg, up, down = sc.to_float_array(payload), 1, 1
     else:
         raise DomainError("unknown letter kind %r" % kind)
-    r, c = np.nonzero(leg)
+    m, n = leg.shape
+    r, c = np.nonzero(leg)      # row-major, so columns ascend in each row
     vals = leg[r, c]
-    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    data = [np.zeros(0, dtype=complex)]
-    for k in range(fock.L + 1 - max(up, down)):
-        rest = np.arange(fock.dim ** k)
-        if kind in ("c", "a", "g"):
-            rows.append((r[:, None] * rest.size + rest).ravel())
-            cols.append((c[:, None] * rest.size + rest).ravel())
-            data.append(np.repeat(vals, rest.size))
-        else:
-            rows.append((rest[:, None] * leg.shape[0] + r).ravel())
-            cols.append((rest[:, None] * leg.shape[1] + c).ravel())
-            data.append(np.tile(vals, rest.size))
-        rows[-1] += fock.offsets[k + up]
-        cols[-1] += fock.offsets[k + down]
-    n = fock.total_dim
-    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(n, n))
+    counts = np.bincount(r, minlength=m)
+    starts = np.cumsum(counts) - counts
+    # output row j, counted from offsets[up], puts leg row i[j] beside
+    # basis vector rest[j] of degree k[j] (of s[j]) of the untouched legs
+    top = fock.L - max(up, down)
+    offs = np.append(fock.offsets, fock.total_dim)
+    dims = np.asarray(fock.degree_dims)
+    k = np.repeat(np.arange(top + 1), m * dims[:top + 1])
+    j, s = np.arange(k.size) - m * offs[k], dims[k]
+    left = kind in ("c", "a", "g")
+    i, rest = (j // s, j % s) if left else (j % m, j // m)
+    row_nnz = np.zeros(fock.total_dim, dtype=np.int64)
+    row_nnz[offs[up]:offs[up] + k.size] = counts[i]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    # a row holds its leg row's nonzeros e, in order
+    row = np.repeat(np.arange(k.size), counts[i])
+    e = starts[i[row]] + np.arange(row.size) - indptr[offs[up] + row]
+    cols = offs[k + down][row] + (c[e] * s[row] + rest[row] if left
+                                  else rest[row] * n + c[e])
+    # 32-bit indices where they fit, as scipy would otherwise copy them down
+    itype = np.int32 if max(fock.total_dim, e.size) < 2 ** 31 else np.int64
+    return sp.csr_matrix((vals[e], cols.astype(itype), indptr.astype(itype)),
+                         shape=(fock.total_dim, fock.total_dim))
 
 
 # -- operators ---------------------------------------------------------------
@@ -520,12 +527,10 @@ class FockOperator:
                     out[k] = out.get(k, 0) + val
         return FockVector(self.fock, out).prune()
 
-    def sparse(self, left=None):
-        """Sum of c * (left @ L_1 @ ... @ L_n) over the terms, as CSR.
+    def sparse(self):
+        """Sum of c * (L_1 @ ... @ L_n) over the terms, as CSR.
 
-        Float, and projective like matrix().  ``left`` (default the
-        identity) multiplies every word, so a compression onto a smaller
-        space never forms the operator itself.  Each distinct letter is
+        Float, and projective like matrix().  Each distinct letter is
         built once per call.  The words are walked in sorted order as a
         prefix trie, so a prefix shared by several words is multiplied
         once and only the current path's products are held; the scaled
@@ -533,13 +538,13 @@ class FockOperator:
         """
         import scipy.sparse as sp
         f = self.fock
-        shape = (f.total_dim if left is None else left.shape[0], f.total_dim)
         blocks = {}
         keyed = sorted(
             (tuple((kind, id(payload)) for kind, payload in letters), i)
             for i, (_, letters) in enumerate(self.terms))
-        path, stack = (), []    # stack[j] = left @ L_1 @ ... @ L_{j+1}
-        rows, cols, data = [], [], []
+        path, stack = (), []    # stack[j] = L_1 @ ... @ L_{j+1}
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        data = [np.zeros(0, dtype=complex)]
         for keys, i in keyed:
             c, letters = self.terms[i]
             same = 0
@@ -551,22 +556,17 @@ class FockOperator:
             for key, letter in zip(keys[same:], letters[same:]):
                 if key not in blocks:
                     blocks[key] = _letter_matrix(f, letter)
-                word = stack[-1] if stack else left
-                stack.append(blocks[key] if word is None
-                             else word @ blocks[key])
+                stack.append(stack[-1] @ blocks[key] if stack else blocks[key])
             path = keys
-            word = stack[-1] if stack else left
-            if word is None:
-                word = sp.identity(f.total_dim, dtype=complex, format="csr")
+            word = stack[-1] if stack else sp.identity(
+                f.total_dim, dtype=complex, format="csr")
             coo = word.tocoo()
             rows.append(coo.row)
             cols.append(coo.col)
             data.append(complex(c) * coo.data)
-        if not rows:
-            return sp.csr_matrix(shape, dtype=complex)
         return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
                                                      np.concatenate(cols))),
-                             shape=shape)
+                             shape=(f.total_dim, f.total_dim))
 
     def matrix(self):
         """Dense matrix in the graded canonical basis (cached, projective).
@@ -621,10 +621,15 @@ class FockOperator:
         n = min(twisted.shape)
         if n < DENSE_NORM_DIM:
             return scale * float(np.linalg.norm(twisted.toarray(), 2))
-        from scipy.sparse.linalg import svds
+        from scipy.sparse.linalg import ArpackError, svds
         v0 = np.random.default_rng(0).standard_normal(n)
-        return scale * float(svds(twisted, k=1, v0=v0,
-                                  return_singular_vectors=False)[0])
+        try:
+            top = svds(twisted, k=1, v0=v0, return_singular_vectors=False)
+        except ArpackError:
+            # no shift applies at a very degenerate top: widen the Krylov space
+            top = svds(twisted, k=1, v0=v0, ncv=min(n, 60),
+                       return_singular_vectors=False)
+        return scale * float(top[0])
 
     def is_close(self, other, tol=1e-10, max_input_degree=None):
         """Equality as matrices on the truncated space.

@@ -36,12 +36,12 @@ from . import _scalars as sc
 from .algebra import PseudoHilbertAlgebra, trivial_algebra
 from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
                      ValidationError)
-from .fock import (PROJECTIVE, FockOperator, FockSpace, GnsAlgebra,
-                   kron_powers, wick, wick_words)
+from .fock import (PROJECTIVE, FockOperator, FockSpace, GnsAlgebra, wick,
+                   wick_words)
 from .ncps import NcProbSpace
 
 GRAM_NULL_RTOL = 1e-9
-MAX_DILATION_FOCK_DIM = 4 * 10 ** 5
+COISOMETRY_TOL = 1e-10
 
 
 def _embed(space, x):
@@ -296,9 +296,9 @@ class GramSpace:
     """Orthonormalized quotient of M (x) L^2(N) under the T-inner product.
 
     ``project`` maps raw coefficients (unit_M (x) unit_N basis) to
-    orthonormal quotient coordinates; ``left_action(m)`` and
-    ``right_action(n)`` act on those coordinates; ``i_n`` embeds L^2(N)
-    (onb coordinates) as 1 (x) eta.
+    orthonormal quotient coordinates; ``left_actions`` and
+    ``right_actions``, keyed by matrix units of M and of N, act on those
+    coordinates; ``i_n`` embeds L^2(N) (onb coordinates) as 1 (x) eta.
     """
 
     dim: int
@@ -307,10 +307,6 @@ class GramSpace:
     left_actions: dict
     right_actions: dict
     i_n: np.ndarray
-    raw_dim: int
-
-    def left_action(self, key):
-        return self.left_actions[key]
 
 
 def stinespring_bimodule(t, l2m=None, l2n=None):
@@ -356,7 +352,7 @@ def stinespring_bimodule(t, l2m=None, l2n=None):
     i_n = project @ np.kron(am.unit[:, None], l2n._chol_hinv)
     return GramSpace(dim=r, project=project, unproject=unproject,
                      left_actions=left_actions, right_actions=right_actions,
-                     i_n=i_n, raw_dim=raw)
+                     i_n=i_n)
 
 
 def conjugate_embedding(t, hs_dual=None, hs=None, l2m=None, l2n=None):
@@ -452,12 +448,13 @@ def second_quantize(t, wick_terms, L, dilation=None):
     matrix on the truncated Fock space over L^2(N) (onb coordinates),
     which tests compare against Psi(T2 legs).
 
-    The Wick words are built on the Fock space over the dilation space,
-    with creation payloads k_M x, annihilation payloads k_M S conj(x) and
-    gauge payloads pi_tilde(x), and compiled from sparse letter blocks
-    with F(p_N) on the left, so the operator on the dilation space is
-    never formed.  That space's truncated Fock dimension is capped at
-    MAX_DILATION_FOCK_DIM.
+    Gamma(T) = F(p_N) W F(p_N)*, with W the Wick words on the dilation
+    space (payloads k_M x, k_M S conj(x), pi_tilde(x)).  Since
+    F(p) c(u) = c(p u) F(p), a(v) F(p)* = F(p)* a(p v) and, as
+    p_N p_N* = 1, F(p) g(A) F(p)* = g(p A p*), each payload is compressed
+    through p_N once and the words are compiled on the target space,
+    under its dense cap.  A p_N further than COISOMETRY_TOL from a
+    coisometry raises DomainError.
     """
     if not wick_terms:
         raise DomainError("empty Wick polynomial")
@@ -468,25 +465,22 @@ def second_quantize(t, wick_terms, L, dilation=None):
     if L < deg + 2:
         raise TruncationError("need L >= degree + 2")
     dil = dilation or build_dilation(t)
-    md = dil.tilde_dim
-    total = 1
-    for k in range(1, L + 1):
-        total += md ** k
-        if total > MAX_DILATION_FOCK_DIM:
-            raise DomainError("a dilation space of dimension %d at "
-                              "truncation %d has a Fock space past %d "
-                              "dimensions" % (md, L, MAX_DILATION_FOCK_DIM))
+    p_n = dil.p_n
+    defect = float(np.abs(p_n @ p_n.conj().T - np.eye(len(p_n))).max())
+    if defect > COISOMETRY_TOL:
+        raise DomainError("p_N is not a coisometry (defect %.3g)" % defect)
+    pk = p_n @ dil.k_m
     s_m = dil.l2m.smat_onb()
     terms = []
     for coeff, legs in wick_terms:
         legs = [np.asarray(x, dtype=complex) for x in legs]
-        words = wick_words([dil.k_m @ x for x in legs],
-                           [dil.k_m @ (s_m @ np.conj(x)) for x in legs],
-                           [dil.pi_tilde(dil.l2m.from_onb(x)) for x in legs])
+        words = wick_words(
+            [pk @ x for x in legs], [pk @ (s_m @ np.conj(x)) for x in legs],
+            [p_n @ dil.pi_tilde(dil.l2m.from_onb(x)) @ p_n.conj().T
+             for x in legs])
         terms += [(coeff, w) for w in words]
-    op = FockOperator(FockSpace(trivial_algebra(md), L), terms, PROJECTIVE)
-    p_fock = kron_powers(dil.p_n, L)
-    return (op.sparse(left=p_fock) @ p_fock.conj().T).toarray()
+    fock = FockSpace(trivial_algebra(len(p_n)), L)
+    return FockOperator(fock, terms, PROJECTIVE).matrix()
 
 
 def wick_matrix_on_target(t, legs_n, L, l2n=None):

@@ -7,16 +7,22 @@ dense oracles compute the algebra primitives from the full structure
 matrices, where the library reads only their nonzero entries.  The Fock
 oracles interpret operators letter by letter, one basis column at a time,
 and build Wick operators by the defining recursion, where the library
-compiles sparse letter blocks and the closed splitting sum.  The modular
-oracle applies Delta and J to one matrix unit at a time, where the library
-uses their closed Kronecker forms per block.
+compiles sparse letter blocks and the closed splitting sum.  The letter
+block oracle builds through COO and lets scipy sort, where the library
+writes canonical CSR directly.  The second quantization oracle compiles
+the Wick words on the Fock space over the whole dilation space and
+compresses the operator, where the library compresses each leg.  The
+modular oracle applies Delta and J to one matrix unit at a time, where the
+library uses their closed Kronecker forms per block.
 """
 
 import numpy as np
 
 from freepoisson import _scalars as sc
-from freepoisson.fock import (PROJECTIVE, STRICT, FockVector, field_X,
-                              identity)
+from freepoisson.algebra import trivial_algebra
+from freepoisson.fock import (PROJECTIVE, STRICT, FockOperator, FockSpace,
+                              FockVector, field_X, identity, kron_powers,
+                              wick_words)
 from freepoisson.ncpart import (enumerate_nc, is_noncrossing,
                                 refinement_leq)
 from freepoisson.variation import difference_words
@@ -203,6 +209,39 @@ def interpreted_matrix(op):
     return m
 
 
+def coo_letter_matrix(fock, letter):
+    """One letter as CSR, from COO triplets that scipy sorts and sums."""
+    import scipy.sparse as sp
+    kind, payload = letter
+    if kind in ("c", "cr"):
+        leg, up, down = sc.to_float_array(payload).reshape(-1, 1), 1, 0
+    elif kind in ("a", "ar"):
+        leg = sc.to_float_array(fock.gram_leg_row(payload)).reshape(1, -1)
+        up, down = 0, 1
+    else:
+        leg, up, down = sc.to_float_array(payload), 1, 1
+    r, c = np.nonzero(leg)
+    vals = leg[r, c]
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    data = [np.zeros(0, dtype=complex)]
+    for k in range(fock.L + 1 - max(up, down)):
+        rest = np.arange(fock.dim ** k)
+        if kind in ("c", "a", "g"):
+            rows.append((r[:, None] * rest.size + rest).ravel())
+            cols.append((c[:, None] * rest.size + rest).ravel())
+            data.append(np.repeat(vals, rest.size))
+        else:
+            rows.append((rest[:, None] * leg.shape[0] + r).ravel())
+            cols.append((rest[:, None] * leg.shape[1] + c).ravel())
+            data.append(np.tile(vals, rest.size))
+        rows[-1] += fock.offsets[k + up]
+        cols[-1] += fock.offsets[k + down]
+    n = fock.total_dim
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n))
+
+
 def wick_by_recursion(fock, legs, mode=STRICT):
     """Psi via X(xi_1) Psi(rest) - <S xi_1, xi_2> Psi(tail)
     - Psi(xi_1 xi_2 x tail)."""
@@ -237,3 +276,23 @@ def dense_twisted_norm(fock, a):
         half[o:o + n, o:o + n] = bh
         halfinv[o:o + n, o:o + n] = bhi
     return float(np.linalg.norm(half @ sc.to_float_array(a) @ halfinv, 2))
+
+
+# -- second quantization ------------------------------------------------------
+
+def dilation_second_quantize(t, wick_terms, L, dilation):
+    """F(p_N) W F(p_N)* with the Wick words W compiled on the Fock space
+    over the whole dilation space L^2(M) + H_T + L^2(N)."""
+    dil = dilation
+    s_m = dil.l2m.smat_onb()
+    terms = []
+    for coeff, legs in wick_terms:
+        legs = [np.asarray(x, dtype=complex) for x in legs]
+        words = wick_words([dil.k_m @ x for x in legs],
+                           [dil.k_m @ (s_m @ np.conj(x)) for x in legs],
+                           [dil.pi_tilde(dil.l2m.from_onb(x)) for x in legs])
+        terms += [(coeff, w) for w in words]
+    op = FockOperator(FockSpace(trivial_algebra(dil.tilde_dim), L), terms,
+                      PROJECTIVE)
+    p_fock = kron_powers(dil.p_n, L)
+    return (p_fock @ op.sparse() @ p_fock.conj().T).toarray()

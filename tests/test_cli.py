@@ -292,14 +292,28 @@ def test_cp_check_and_gamma(capsys):
     assert "matrix" in json.loads(out)
 
 
-def test_cp_gamma_past_dilation_cap_exit_2(capsys):
-    # the dilation space here has dimension >= 5, so truncation 9 asks
-    # for a Fock space of more than 4e5 dimensions
+def test_cp_gamma_is_capped_by_the_target_space(capsys):
+    # the legs are compressed onto the Fock space over L^2(N), dimension 2:
+    # truncation 9 (1023 dimensions) is built although the dilation space
+    # has dimension >= 5, and truncation 11 (4095^2 > 4e6 entries) is
+    # refused by the dense cap
+    from freepoisson import _scalars as sc, quantize as qz
+    from freepoisson.ncps import NcProbSpace
     space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]],
              "mode": "float"}
     payload = {"source": space, "target": space, "form": "kraus",
                "kraus": [[[0.5, 0.0], [0.0, 0.5]]],
                "wick_legs": [[1.0, 0.0]], "truncation": 9}
+    code, out, _ = capture(capsys, ["cp", "gamma",
+                                    "--inline", json.dumps(payload)])
+    assert code == 0
+    got = _decode_matrix(json.loads(out)["matrix"])
+    s = NcProbSpace([1, 1], [[[0.5]], [[0.5]]], mode=sc.FLOAT)
+    t = qz.CpMap(s, s, [0.5 * np.eye(2)])
+    want = qz.second_quantize(t, [(1.0, [np.array([1.0, 0.0])])], 9)
+    assert got.shape == (1023, 1023)
+    assert np.abs(got - want).max() < 1e-12
+    payload["truncation"] = 11
     code, out, err = capture(capsys, ["cp", "gamma",
                                       "--inline", json.dumps(payload)])
     assert code == 2 and out == ""

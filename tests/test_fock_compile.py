@@ -13,8 +13,9 @@ import oracles
 from freepoisson import _scalars as sc
 from freepoisson.algebra import function_algebra, trivial_algebra
 from freepoisson.fock import (DENSE_NORM_DIM, PROJECTIVE, STRICT,
-                              FockOperator, FockSpace, annihilation, creation,
-                              gauge, gns_algebra, wick_embedding_In)
+                              FockOperator, FockSpace, _letter_matrix,
+                              annihilation, creation, gauge, gns_algebra,
+                              wick_embedding_In)
 from freepoisson.ncps import NcProbSpace, diag_space
 
 KINDS = ("c", "cr", "a", "ar", "g", "gr")
@@ -76,6 +77,31 @@ def test_float_matrix_and_norm_match_interpreter(data, kind, L, real, mode):
     _assert_close(op.sparse().toarray(), want)
     norm = oracles.dense_twisted_norm(fock, want)
     assert abs(op.norm() - norm) <= 1e-12 * max(1.0, norm)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("alg", [
+    trivial_algebra(2), function_algebra([0.5, 1.25, 2.0], mode=sc.FLOAT)],
+    ids=["dim2", "dim3"])
+def test_letter_blocks_are_canonical_csr(kind, alg):
+    # written straight as sorted CSR arrays, bit for bit what scipy makes
+    # of the COO triplets; every other payload entry is zero, so some leg
+    # rows are short or empty
+    rng = np.random.default_rng(4)
+    d = alg.dim
+    shape = (d, d) if kind in ("g", "gr") else (d,)
+    payload = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    payload.ravel()[::2] = 0.0
+    for L in (0, 1, 4):
+        fock = FockSpace(alg, L)
+        got = _letter_matrix(fock, (kind, payload))
+        want = oracles.coo_letter_matrix(fock, (kind, payload))
+        assert got.has_canonical_format
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data)
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,6 +173,18 @@ def test_sparse_norm_of_tiny_entries(kind, alg, coeff, payload):
     op = FockOperator(fock, [(coeff, word)], PROJECTIVE)
     want = oracles.dense_twisted_norm(fock, op.sparse().toarray())
     assert want > 0
+    assert abs(op.norm() - want) <= 1e-12 * want
+
+
+def test_sparse_norm_when_arpack_finds_no_shift():
+    # A* A of this right creation has a top eigenvalue of high
+    # multiplicity: ARPACK's default Krylov space (20 vectors) applies no
+    # shift and raises, and norm() retries in a larger one
+    fock = FockSpace(function_algebra([2.872664225926311, 1.900024039181581],
+                                      mode=sc.FLOAT), 7)
+    xi = np.array([0.9836862193959992j, 0.3253497939276868])
+    op = FockOperator(fock, [(1.900024039181581j, (("cr", xi),))], STRICT)
+    want = oracles.dense_twisted_norm(fock, op.sparse().toarray())
     assert abs(op.norm() - want) <= 1e-12 * want
 
 

@@ -1,12 +1,14 @@
 """Completely positive maps, Petz duality, Stinespring bimodules, and
 second quantization through the explicit dilation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from freepoisson import _scalars as sc
 from freepoisson.errors import DomainError, ValidationError
 from freepoisson.ncps import NcProbSpace
@@ -400,14 +402,59 @@ def test_second_quantize_rejects_inadmissible():
         second_quantize(t, [(1.0, [np.ones(2)])], 4)
 
 
-def test_second_quantize_caps_dilation_fock_space():
+def test_second_quantize_needs_no_dilation_fock_space():
     # four Kraus maps between 2-point spaces: a dilation space of
-    # dimension 8, whose Fock space has 299,593 dimensions at L 6 and
-    # 2,396,745 at L 7; the cap (4e5) raises before any letter is built
+    # dimension 8, whose Fock space at L 7 has 2,396,745 dimensions; the
+    # legs are compressed onto the 255-dimensional target space instead.
+    # L 11 (4095^2 > 4e6 entries) is refused by the target's dense cap.
     rng = np.random.default_rng(7)
     s = space2(0.6, 0.9)
     t = random_admissible(rng, s, s)
     dil = build_dilation(t)
     assert dil.tilde_dim == 8
-    with pytest.raises(DomainError):
-        second_quantize(t, [(1.0, [np.ones(2)])], 7, dilation=dil)
+    legs = [np.ones(2)]
+    got = second_quantize(t, [(1.0, legs)], 7, dilation=dil)
+    want = wick_matrix_on_target(t, [dil.t2 @ x for x in legs], 7)
+    assert got.shape == (255, 255)
+    assert np.abs(got - want).max() < 1e-8
+    with pytest.raises(DomainError, match="dense"):
+        second_quantize(t, [(1.0, legs)], 11, dilation=dil)
+
+
+def test_second_quantize_rejects_a_non_coisometric_p_n():
+    rng = np.random.default_rng(8)
+    s = space2(0.6, 0.9)
+    t = random_admissible(rng, s, s)
+    dil = build_dilation(t)
+    bad = dataclasses.replace(dil, p_n=1.1 * dil.p_n)
+    with pytest.raises(DomainError, match="coisometry"):
+        second_quantize(t, [(1.0, [np.ones(2)])], 3, dilation=bad)
+    second_quantize(t, [(1.0, [np.ones(2)])], 3, dilation=dil)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_second_quantize_matches_dilation_fock_oracle(data):
+    # per-leg compression through p_N against the Wick words compiled on
+    # the Fock space over the whole dilation space and sandwiched by F(p_N)
+    weight = st.floats(0.2, 1.5)
+    src = space2(data.draw(weight), data.draw(weight))
+    tgt = space2(data.draw(weight), data.draw(weight))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    if data.draw(st.booleans()):
+        t = random_admissible(rng, src, tgt,
+                              slack=data.draw(st.floats(0.1, 1.0)))
+    else:
+        t = CpMap(src, tgt, [])
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(1, 3))
+        legs = [rng.normal(size=2) + 1j * rng.normal(size=2)
+                for _ in range(n)]
+        terms.append((complex(rng.normal(), rng.normal()), legs))
+    L = max(len(legs) for _, legs in terms) + 2
+    dil = build_dilation(t)
+    got = second_quantize(t, terms, L, dilation=dil)
+    want = oracles.dilation_second_quantize(t, terms, L, dil)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-12 * scale
