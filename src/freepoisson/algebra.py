@@ -5,8 +5,9 @@ An algebra here is a coordinate space C^d with
   * a positive-definite Gram matrix G (inner product <u,v> = u^H G v,
     conjugate-linear in the first slot),
   * an antilinear involution S(v) = smat @ conj(v),
-  * left-multiplication matrices lmul[i] = pi_l(e_i) per basis vector
-    (multiplication may be degenerate, including identically zero),
+  * a multiplication, stored only as its nonzero structure constants
+    (i, r, c, x), x being entry (r, c) of pi_l(e_i); it may be degenerate,
+    even identically zero (no constants at all),
   * optional unit vector, and optional modular data Delta (linear) and
     J (antilinear, jmat @ conj(v)).
 
@@ -14,12 +15,14 @@ Compatibility conditions (<xi eta, zeta> = <eta, (S xi) zeta>, S an
 anti-homomorphism with S^2 = 1, associativity) are checked by validate(),
 which tests keep honest on every constructor.
 
-The dense arrays gram, smat and lmul stay public, but every primitive
-(pi_l, pi_r, s_apply, multiply, inner, gram_row) works from the nonzero
-structure constants recorded at construction: the (row, col, value)
-entries of each lmul[i] and of smat, and the per-row nonzeros of the Gram
-(gram_rows).  A function algebra has one entry per lmul[i] and a diagonal
-Gram, so its primitives cost O(d) instead of O(d^2) or O(d^3).
+The constructors below write the constants directly; a caller holding
+dense left-multiplication matrices converts them with
+``structure_constants``.  Every primitive (pi_l, pi_r, s_apply, multiply,
+inner, gram_row) reads only nonzeros: the constants, the entries of smat
+and the per-row nonzeros of the Gram (gram_rows), so a function algebra
+is built in O(d^2) and its primitives cost O(d).  ``lmul`` is a dense
+view derived on each read, for validate(), JSON and the Stinespring
+bimodule.
 """
 
 import numpy as np
@@ -30,30 +33,34 @@ from .errors import DomainError, ShapeError, ValidationError
 
 class PseudoHilbertAlgebra:
 
-    def __init__(self, gram, smat, lmul, unit=None, delta=None, jmat=None,
-                 mode=sc.FLOAT):
+    def __init__(self, gram, smat, structure, unit=None, delta=None,
+                 jmat=None, mode=sc.FLOAT):
         self.mode = mode
         self.gram = sc.array(gram, mode)
         self.smat = sc.array(smat, mode)
-        self.lmul = [sc.array(m, mode) for m in lmul]
         self.dim = self.gram.shape[0]
         if self.gram.shape != (self.dim, self.dim):
             raise ShapeError("gram must be square")
         if self.smat.shape != (self.dim, self.dim):
             raise ShapeError("smat shape mismatch")
-        if len(self.lmul) != self.dim:
-            raise ShapeError("need one lmul matrix per basis vector")
-        for m in self.lmul:
-            if m.shape != (self.dim, self.dim):
-                raise ShapeError("lmul shape mismatch")
+        # structure[i] lists the (row, col, value) nonzeros of pi_l(e_i)
+        self.structure = [[] for _ in range(self.dim)]
+        for i, r, c, x in structure:
+            if not 0 <= min(i, r, c) <= max(i, r, c) < self.dim:
+                raise ShapeError("structure constant index out of range")
+            self.structure[i].append((r, c, x))
         self.unit = None if unit is None else sc.array(unit, mode)
         self.delta = None if delta is None else sc.array(delta, mode)
         self.jmat = None if jmat is None else sc.array(jmat, mode)
-        self._lmul_nz = [_nonzeros(m) for m in self.lmul]
         self._s_nz = _nonzeros(self.smat)
         self.gram_rows = [[] for _ in range(self.dim)]
         for r, c, x in _nonzeros(self.gram):
             self.gram_rows[r].append((c, x))
+
+    @property
+    def lmul(self):
+        """Dense pi_l(e_i) per basis vector, derived on each read."""
+        return [self.pi_l(self.basis(i)) for i in range(self.dim)]
 
     # -- vector operations ------------------------------------------------
 
@@ -107,7 +114,7 @@ class PseudoHilbertAlgebra:
     def pi_l(self, v):
         """Matrix of left multiplication by the vector v."""
         out = sc.zeros((self.dim, self.dim), self.mode)
-        for i, entries in enumerate(self._lmul_nz):
+        for i, entries in enumerate(self.structure):
             if v[i] != 0:
                 for r, c, x in entries:
                     out[r, c] += v[i] * x
@@ -116,7 +123,7 @@ class PseudoHilbertAlgebra:
     def pi_r(self, v):
         """Matrix of right multiplication by the vector v."""
         out = sc.zeros((self.dim, self.dim), self.mode)
-        for i, entries in enumerate(self._lmul_nz):
+        for i, entries in enumerate(self.structure):
             for r, c, x in entries:
                 if v[c] != 0:
                     out[r, i] += x * v[c]
@@ -124,7 +131,7 @@ class PseudoHilbertAlgebra:
 
     def multiply(self, u, v):
         out = sc.zeros(self.dim, self.mode)
-        for i, entries in enumerate(self._lmul_nz):
+        for i, entries in enumerate(self.structure):
             if u[i] != 0:
                 for r, c, x in entries:
                     if v[c] != 0:
@@ -153,6 +160,7 @@ class PseudoHilbertAlgebra:
             ei = self.basis(i)
             if not close(self.s_apply(self.s_apply(ei)), ei):
                 raise ValidationError("S is not an involution")
+        lmul = self.lmul
         for i in range(self.dim):
             for j in range(self.dim):
                 ei, ej = self.basis(i), self.basis(j)
@@ -174,7 +182,7 @@ class PseudoHilbertAlgebra:
                                            self.s_apply(ei))):
                     raise ValidationError("S is not an anti-homomorphism")
                 # associativity: pi_l(e_i e_j) == pi_l(e_i) pi_l(e_j)
-                if not close(self.pi_l(prod), self.lmul[i] @ self.lmul[j]):
+                if not close(self.pi_l(prod), lmul[i] @ lmul[j]):
                     raise ValidationError("multiplication not associative")
         return True
 
@@ -195,16 +203,26 @@ def _nonzeros(mat):
     return list(zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()))
 
 
+def structure_constants(lmul, dim, mode):
+    """(i, r, c, x) for each nonzero entry (r, c) of the dense lmul[i]."""
+    if len(lmul) != dim:
+        raise ShapeError("need one lmul matrix per basis vector")
+    out = []
+    for i, m in enumerate(lmul):
+        m = sc.array(m, mode)
+        if m.shape != (dim, dim):
+            raise ShapeError("lmul shape mismatch")
+        out += [(i, r, c, x) for r, c, x in _nonzeros(m)]
+    return out
+
+
 # -- constructors ----------------------------------------------------------
 
 def trivial_algebra(dim, mode=sc.FLOAT, gram=None):
     """Zero multiplication, S = plain conjugation: a semicircular system."""
-    z = sc.zeros((dim, dim), mode)
     return PseudoHilbertAlgebra(
         gram=sc.eye(dim, mode) if gram is None else gram,
-        smat=sc.eye(dim, mode),
-        lmul=[z.copy() for _ in range(dim)],
-        mode=mode)
+        smat=sc.eye(dim, mode), structure=[], mode=mode)
 
 
 def function_algebra(weights, mode=sc.EXACT):
@@ -215,21 +233,17 @@ def function_algebra(weights, mode=sc.EXACT):
     d = len(weights)
     if d == 0:
         raise DomainError("need at least one point")
-    lmul = []
-    for i in range(d):
-        m = sc.zeros((d, d), mode)
-        m[i, i] = sc.scalar_one(mode)
-        lmul.append(m)
     g = sc.zeros((d, d), mode)
     for i, w in enumerate(weights):
         wi = sc.as_fraction(w) if mode == sc.EXACT else complex(w)
         if not (wi > 0 if mode == sc.EXACT else wi.real > 0):
             raise DomainError("weights must be positive")
         g[i, i] = wi
-    alg = PseudoHilbertAlgebra(
-        gram=g, smat=sc.eye(d, mode), lmul=lmul,
+    one = sc.scalar_one(mode)
+    return PseudoHilbertAlgebra(
+        gram=g, smat=sc.eye(d, mode),
+        structure=[(i, i, i, one) for i in range(d)],
         unit=[1] * d, mode=mode)
-    return alg
 
 
 def direct_sum(a, b):
@@ -244,21 +258,17 @@ def direct_sum(a, b):
     s = sc.zeros((d, d), mode)
     s[:a.dim, :a.dim] = a.smat
     s[a.dim:, a.dim:] = b.smat
-    lmul = []
-    for i in range(a.dim):
-        m = sc.zeros((d, d), mode)
-        m[:a.dim, :a.dim] = a.lmul[i]
-        lmul.append(m)
-    for i in range(b.dim):
-        m = sc.zeros((d, d), mode)
-        m[a.dim:, a.dim:] = b.lmul[i]
-        lmul.append(m)
+    structure = [(i + o, r + o, c + o, x)
+                 for alg, o in ((a, 0), (b, a.dim))
+                 for i, entries in enumerate(alg.structure)
+                 for r, c, x in entries]
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = sc.zeros(d, mode)
         unit[:a.dim] = a.unit
         unit[a.dim:] = b.unit
-    out = PseudoHilbertAlgebra(gram=g, smat=s, lmul=lmul, unit=unit, mode=mode)
+    out = PseudoHilbertAlgebra(gram=g, smat=s, structure=structure,
+                               unit=unit, mode=mode)
     if a.delta is not None or b.delta is not None:
         da = a.delta if a.delta is not None else sc.eye(a.dim, mode)
         db = b.delta if b.delta is not None else sc.eye(b.dim, mode)

@@ -141,12 +141,13 @@ def _cmd_cum(args):
 
 def _decode_algebra(data, mode):
     """An algebra from JSON; its Gram must be Hermitian positive definite."""
-    from .algebra import PseudoHilbertAlgebra
+    from .algebra import PseudoHilbertAlgebra, structure_constants
     from .ncps import _check_psd
+    gram = decode_matrix(data["gram"], mode)
     alg = PseudoHilbertAlgebra(
-        gram=decode_matrix(data["gram"], mode),
-        smat=decode_matrix(data["s"], mode),
-        lmul=[decode_matrix(m, mode) for m in data["lmul"]],
+        gram=gram, smat=decode_matrix(data["s"], mode),
+        structure=structure_constants(
+            [decode_matrix(m, mode) for m in data["lmul"]], len(gram), mode),
         unit=[decode_scalar(x, mode) for x in data["unit"]]
         if data.get("unit") else None,
         mode=mode)

@@ -12,11 +12,12 @@ before the per-degree bookkeeping is built.
 Vectors are stored sparsely as {index-tuple: coefficient}; a tuple of
 length k addresses the elementary tensor e_{i1} x ... x e_{ik} in degree k.
 Operators are formal sums of words in the six elementary letters (left and
-right creation / annihilation / gauge).  The letter interpreter serves
-vector application and exact matrices: it is exact in rational mode and
-detects overflow past the truncation letter by letter ("strict" mode) or
-projects it away ("projective" mode).  Float matrices and norms are built
-from sparse letter blocks instead: each letter is one CSR matrix on the
+right creation / annihilation / gauge); ``_letter_leg`` decodes each into
+the leg matrix it applies.  The letter interpreter serves vector
+application and exact matrices: it is exact in rational mode and detects
+overflow past the truncation letter by letter ("strict" mode) or projects
+it away ("projective" mode).  Float matrices and norms are built from
+sparse letter blocks instead: each letter is one CSR matrix on the
 truncated space (kron(leg, I) per degree), a word is their product, and
 ``FockOperator.sparse`` sums the words.  ``FockOperator.norm`` never
 densifies: it takes the top singular value of the Gram-twisted CSR with
@@ -25,6 +26,8 @@ compiles its words from the same blocks.  scipy.sparse and
 scipy.sparse.linalg are imported inside these functions only, so exact
 work never loads them.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -74,7 +77,7 @@ class GnsAlgebra(PseudoHilbertAlgebra):
         self.units = [(b, i, j) for b, d in enumerate(dims)
                       for i in range(d) for j in range(d)]
         dim = len(self.units)
-        offsets = np.cumsum([0] + [d * d for d in dims])
+        offsets = np.cumsum([0] + [d * d for d in dims]).tolist()
         swaps = [np.arange(d * d).reshape(d, d).T.ravel() for d in dims]
         eyes = [sc.eye(d, mode) for d in dims]
 
@@ -91,12 +94,11 @@ class GnsAlgebra(PseudoHilbertAlgebra):
             return (a[:, None, :, None] * b[None, :, None, :]).reshape(
                 d * d, d * d)
 
-        lmul = []
-        for b, i, j in self.units:
-            m = sc.zeros((dim, dim), mode)
-            d, o = dims[b], offsets[b]
-            m[o + i * d:o + i * d + d, o + j * d:o + j * d + d] = eyes[b]
-            lmul.append(m)
+        # pi_l(e_ij) maps e_jk to e_ik
+        one = sc.scalar_one(mode)
+        structure = [(o + i * d + j, o + i * d + k, o + j * d + k, one)
+                     for d, o in zip(dims, offsets)
+                     for i, j, k in product(range(d), repeat=3)]
         smat = blockdiag([sc.eye(d * d, mode)[:, s]
                           for d, s in zip(dims, swaps)])
         if mode == sc.EXACT:
@@ -110,7 +112,7 @@ class GnsAlgebra(PseudoHilbertAlgebra):
         super().__init__(
             gram=blockdiag([kron(e, rho.T)
                             for e, rho in zip(eyes, space.density)]),
-            smat=smat, lmul=lmul,
+            smat=smat, structure=structure,
             unit=np.concatenate([e.ravel() for e in eyes]),
             delta=delta, jmat=jmat, mode=mode)
 
@@ -176,9 +178,8 @@ class FockSpace:
         return self.offsets[k] + pos
 
     def basis_tuples(self):
-        from itertools import product as iproduct
         for k in range(self.L + 1):
-            for idx in iproduct(range(self.dim), repeat=k):
+            for idx in product(range(self.dim), repeat=k):
                 yield idx
 
     def vacuum(self):
@@ -190,18 +191,8 @@ class FockSpace:
             raise TruncationError("tensor degree %d > L=%d" % (len(legs), self.L))
         ent = {(): sc.scalar_one(self.mode)}
         for leg in reversed(legs):
-            new = {}
-            for idx, c in ent.items():
-                for a in range(self.dim):
-                    if leg[a] != 0:
-                        key = (a,) + idx
-                        new[key] = new.get(key, 0) + leg[a] * c
-            ent = new
+            ent = _apply_letter(self, ("c", leg), ent, STRICT)
         return FockVector(self, ent)
-
-    def gram_leg_row(self, v):
-        """Row vector w with w[i] = <v, e_i> (for annihilation letters)."""
-        return self.alg.gram_row(v)
 
     def inner(self, u, v):
         """Fock inner product of two sparse vectors.
@@ -333,51 +324,52 @@ class FockVector:
 
 # -- elementary letters ----------------------------------------------------
 
-def _apply_letter(fock, letter, entries, mode_trunc):
+def _letter_leg(fock, letter):
+    """(leg, up, down, left): a letter takes ``down`` legs (0 or 1) off the
+    left or right end of a tensor and puts back ``up`` legs: the column of
+    ``leg`` (the payload column, its Gram row or the gauge matrix) that
+    the taken leg indexes, or column 0 when none is taken."""
     kind, payload = letter
-    dim = fock.dim
-    L = fock.L
-    out = {}
-
-    def put(key, val):
-        if val == 0:
-            return
-        out[key] = out.get(key, 0) + val
-
     if kind in ("c", "cr"):
-        v = payload
-        for idx, c in entries.items():
-            if len(idx) == L:
-                if mode_trunc == STRICT:
-                    raise OverflowError_(
-                        "creation past degree %d in strict mode" % L)
-                continue
-            for a in range(dim):
-                if v[a] != 0:
-                    key = (a,) + idx if kind == "c" else idx + (a,)
-                    put(key, v[a] * c)
+        leg, up, down = np.asarray(payload).reshape(-1, 1), 1, 0
     elif kind in ("a", "ar"):
-        row = fock.gram_leg_row(payload)
-        for idx, c in entries.items():
-            if not idx:
-                continue
-            leg = idx[0] if kind == "a" else idx[-1]
-            w = row[leg]
-            if w != 0:
-                key = idx[1:] if kind == "a" else idx[:-1]
-                put(key, w * c)
+        leg, up, down = fock.alg.gram_row(payload).reshape(1, -1), 0, 1
     elif kind in ("g", "gr"):
-        t = payload
-        for idx, c in entries.items():
-            if not idx:
-                continue
-            leg = idx[0] if kind == "g" else idx[-1]
-            for b in range(dim):
-                if t[b, leg] != 0:
-                    key = (b,) + idx[1:] if kind == "g" else idx[:-1] + (b,)
-                    put(key, t[b, leg] * c)
+        leg, up, down = payload, 1, 1
     else:
         raise DomainError("unknown letter kind %r" % kind)
+    return leg, up, down, kind in ("c", "a", "g")
+
+
+def _apply_letter(fock, letter, entries, mode_trunc):
+    """One letter on a sparse {index tuple: coefficient} dict.
+
+    An entry whose image would pass degree L raises OverflowError_ in
+    strict mode, whatever the payload, and is dropped in projective mode.
+    Each leg column is read once, when an entry first needs it.
+    """
+    leg, up, down, left = _letter_leg(fock, letter)
+    columns, nonzeros, out = leg.T.tolist(), {}, {}
+    for idx, c in entries.items():
+        k = len(idx)
+        if k < down:
+            continue
+        if k + up - down > fock.L:
+            if mode_trunc == STRICT:
+                raise OverflowError_(
+                    "creation past degree %d in strict mode" % fock.L)
+            continue
+        j = (idx[0] if left else idx[-1]) if down else 0
+        col = nonzeros.get(j)
+        if col is None:
+            col = nonzeros[j] = [(b, x) for b, x in enumerate(columns[j])
+                                 if x != 0]
+        rest = idx[down:] if left else idx[:k - down]
+        for b, x in col:
+            key = ((b,) + rest if left else rest + (b,)) if up else rest
+            val = x * c
+            if val != 0:
+                out[key] = out.get(key, 0) + val
     return out
 
 
@@ -406,22 +398,13 @@ def _letter_matrix(fock, letter):
     """One letter as a CSR matrix on the truncated space.
 
     A left letter is kron(leg, I) and a right letter kron(I, leg) in each
-    degree, with leg a column (creation), the Gram row of the payload
-    (annihilation) or the payload matrix (gauge).  Legs past degree L are
-    dropped, as in projective application.  The CSR is written in sorted
-    order straight from the index arithmetic.
+    degree (see _letter_leg).  Legs past degree L are dropped, as in
+    projective application.  The CSR is written in sorted order straight
+    from the index arithmetic.
     """
     import scipy.sparse as sp
-    kind, payload = letter
-    if kind in ("c", "cr"):
-        leg, up, down = sc.to_float_array(payload).reshape(-1, 1), 1, 0
-    elif kind in ("a", "ar"):
-        leg = sc.to_float_array(fock.gram_leg_row(payload)).reshape(1, -1)
-        up, down = 0, 1
-    elif kind in ("g", "gr"):
-        leg, up, down = sc.to_float_array(payload), 1, 1
-    else:
-        raise DomainError("unknown letter kind %r" % kind)
+    leg, up, down, left = _letter_leg(fock, letter)
+    leg = sc.to_float_array(leg)
     m, n = leg.shape
     r, c = np.nonzero(leg)      # row-major, so columns ascend in each row
     vals = leg[r, c]
@@ -434,7 +417,6 @@ def _letter_matrix(fock, letter):
     dims = np.asarray(fock.degree_dims)
     k = np.repeat(np.arange(top + 1), m * dims[:top + 1])
     j, s = np.arange(k.size) - m * offs[k], dims[k]
-    left = kind in ("c", "a", "g")
     i, rest = (j // s, j % s) if left else (j % m, j // m)
     row_nnz = np.zeros(fock.total_dim, dtype=np.int64)
     row_nnz[offs[up]:offs[up] + k.size] = counts[i]

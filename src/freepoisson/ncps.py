@@ -416,7 +416,7 @@ def build_pseudo_algebra(cf, degree):
     data up to order 2*(degree+1); multiplication must close at ``degree``,
     detected by rank stabilization rank(Gram_d) == rank(Gram_{d+1}).
     """
-    from .algebra import PseudoHilbertAlgebra
+    from .algebra import PseudoHilbertAlgebra, structure_constants
 
     if not cf.tracial:
         raise NotTracialError(
@@ -497,7 +497,9 @@ def build_pseudo_algebra(cf, degree):
         for i in range(rank_d):
             smat[i, j] = col[i]
 
-    alg = PseudoHilbertAlgebra(gram=gram_q, smat=smat, lmul=lmul, mode=mode)
+    alg = PseudoHilbertAlgebra(
+        gram=gram_q, smat=smat,
+        structure=structure_constants(lmul, rank_d, mode), mode=mode)
     alg.basis_words = basis_words
     return alg
 

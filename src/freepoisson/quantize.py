@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _scalars as sc
-from .algebra import PseudoHilbertAlgebra, trivial_algebra
+from .algebra import (PseudoHilbertAlgebra, structure_constants,
+                      trivial_algebra)
 from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
                      ValidationError)
 from .fock import (PROJECTIVE, FockOperator, FockSpace, GnsAlgebra, wick,
@@ -116,7 +117,8 @@ class L2Space:
         lmul = [self.linear_map_onb(self._alg.pi_l(u))
                 for u in self._chol_hinv.T]
         return PseudoHilbertAlgebra(
-            gram=np.eye(self.dim), smat=self.smat_onb(), lmul=lmul,
+            gram=np.eye(self.dim), smat=self.smat_onb(),
+            structure=structure_constants(lmul, self.dim, sc.FLOAT),
             unit=self.chol.conj().T @ self._alg.unit,
             jmat=self.jmat_onb(), mode=sc.FLOAT)
 
@@ -154,18 +156,7 @@ class CpMap:
 
     def choi(self):
         """Choi matrix of T o E_M on the ambient source algebra."""
-        dm = sum(self.source.block_dims)
-        dn = sum(self.target.block_dims)
-        c = np.zeros((dm * dn, dm * dn), dtype=complex)
-        for i in range(dm):
-            for j in range(dm):
-                u = np.zeros((dm, dm), dtype=complex)
-                u[i, j] = 1.0
-                tu = _embed(self.target, self.apply(_compress(self.source, u)))
-                for k in range(dn):
-                    for l in range(dn):
-                        c[i * dn + k, j * dn + l] = tu[k, l]
-        return c
+        return _choi(self.apply, self.source, self.target)
 
     def t2_matrix(self, l2m=None, l2n=None):
         """L^2 compression eta(m) -> eta(T(m)) in onb coordinates."""
@@ -275,18 +266,22 @@ def petz_dual(t):
         td = _embed(src, t.trace_adjoint(_compress(tgt, z)))
         return _compress(src, rmhi @ td @ rmhi)
 
-    dn = sum(tgt.block_dims)
-    dm = sum(src.block_dims)
-    choi = np.zeros((dn * dm, dn * dm), dtype=complex)
-    for i in range(dn):
-        for j in range(dn):
-            u = np.zeros((dn, dn), dtype=complex)
+    return CpMap.from_choi(tgt, src, _choi(dual_apply, tgt, src))
+
+
+def _choi(fn, source, target):
+    """sum_ij e_ij (x) fn(E(e_ij)) for fn: source -> target, with E the
+    compression onto the source's blocks, on the ambient algebras."""
+    dm = sum(source.block_dims)
+    dn = sum(target.block_dims)
+    c = np.zeros((dm * dn, dm * dn), dtype=complex)
+    for i in range(dm):
+        for j in range(dm):
+            u = np.zeros((dm, dm), dtype=complex)
             u[i, j] = 1.0
-            du = _embed(src, dual_apply(_compress(tgt, u)))
-            for k in range(dm):
-                for l in range(dm):
-                    choi[i * dm + k, j * dm + l] = du[k, l]
-    return CpMap.from_choi(tgt, src, choi)
+            c[i * dn:i * dn + dn, j * dn:j * dn + dn] = _embed(
+                target, fn(_compress(source, u)))
+    return c
 
 
 # -- Stinespring correspondence ----------------------------------------------

@@ -197,15 +197,7 @@ def cauchy_transform(measure, z, quadrature=False, tol=1e-9):
         total += w / (z - t)
     if measure.density is not None:
         if not quadrature:
-            if measure.density[0] == "free_poisson":
-                # subtract the built-in atom: the Measure lists atoms itself
-                lam = measure.density[1]
-                g = _cauchy_closed_form(measure.density, z)
-                if lam < 1:
-                    g -= max(1 - lam, 0.0) / z
-                total += g
-            else:
-                total += _cauchy_closed_form(measure.density, z)
+            total += _density_g(measure, z)
         else:
             f, (lo, hi) = density_function(measure.density)
             x, y = z.real, z.imag
@@ -237,6 +229,8 @@ def _cauchy_derivative(measure, z):
 
 
 def _density_g(measure, z):
+    """Closed-form Cauchy transform of the density alone (the free
+    Poisson form's atom at 0 is subtracted: the Measure lists it)."""
     if measure.density is None:
         return 0j
     if measure.density[0] == "free_poisson":

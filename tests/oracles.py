@@ -116,19 +116,63 @@ def variation_error_squared_nc(exp, n_bins):
 
 
 # -- dense structure-constant formulas ----------------------------------------
+# The left-multiplication matrices lmul[i] = pi_l(e_i) of each constructor,
+# built densely, one d x d matrix per basis vector: the reference for the
+# structure constants the constructors write directly.
 
-def dense_pi_l(alg, v):
-    out = sc.zeros((alg.dim, alg.dim), alg.mode)
-    for i in range(alg.dim):
-        if v[i] != 0:
-            out = out + v[i] * alg.lmul[i]
+def function_lmul(d, mode):
+    """Indicator idempotents: lmul[i] = e_ii."""
+    out = []
+    for i in range(d):
+        m = sc.zeros((d, d), mode)
+        m[i, i] = sc.scalar_one(mode)
+        out.append(m)
     return out
 
 
-def dense_pi_r(alg, v):
-    out = sc.zeros((alg.dim, alg.dim), alg.mode)
-    for i in range(alg.dim):
-        out[:, i] = alg.lmul[i] @ v
+def trivial_lmul(d, mode):
+    return [sc.zeros((d, d), mode) for _ in range(d)]
+
+
+def direct_sum_lmul(a, b, mode):
+    """Each summand's lmul in its diagonal block; cross products vanish."""
+    d = len(a) + len(b)
+    out = []
+    for lmul, o in ((a, 0), (b, len(a))):
+        for m in lmul:
+            big = sc.zeros((d, d), mode)
+            big[o:o + len(m), o:o + len(m)] = m
+            out.append(big)
+    return out
+
+
+def gns_lmul(dims, mode):
+    """kron(e_ij, 1) in block b for each matrix unit (b, i, j), row-major."""
+    dim = sum(d * d for d in dims)
+    out, o = [], 0
+    for d in dims:
+        for i in range(d):
+            for j in range(d):
+                m = sc.zeros((dim, dim), mode)
+                m[o + i * d:o + i * d + d, o + j * d:o + j * d + d] = \
+                    sc.eye(d, mode)
+                out.append(m)
+        o += d * d
+    return out
+
+
+def dense_pi_l(lmul, v, mode):
+    out = sc.zeros((len(v), len(v)), mode)
+    for i, m in enumerate(lmul):
+        if v[i] != 0:
+            out = out + v[i] * m
+    return out
+
+
+def dense_pi_r(lmul, v, mode):
+    out = sc.zeros((len(v), len(v)), mode)
+    for i, m in enumerate(lmul):
+        out[:, i] = m @ v
     return out
 
 
@@ -136,8 +180,8 @@ def dense_s_apply(alg, v):
     return alg.smat @ sc.conj(v)
 
 
-def dense_multiply(alg, u, v):
-    return dense_pi_l(alg, u) @ v
+def dense_multiply(lmul, u, v, mode):
+    return dense_pi_l(lmul, u, mode) @ v
 
 
 def dense_inner(alg, u, v):
@@ -216,7 +260,7 @@ def coo_letter_matrix(fock, letter):
     if kind in ("c", "cr"):
         leg, up, down = sc.to_float_array(payload).reshape(-1, 1), 1, 0
     elif kind in ("a", "ar"):
-        leg = sc.to_float_array(fock.gram_leg_row(payload)).reshape(1, -1)
+        leg = sc.to_float_array(fock.alg.gram_row(payload)).reshape(1, -1)
         up, down = 0, 1
     else:
         leg, up, down = sc.to_float_array(payload), 1, 1

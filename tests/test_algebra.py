@@ -1,5 +1,6 @@
 """Algebra primitives, which read only the nonzero structure constants,
-against the dense structure-matrix formulas in ``oracles``."""
+against the dense structure-matrix formulas in ``oracles``, applied to
+the lmul matrices each constructor must have."""
 
 from fractions import Fraction as F
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from freepoisson import _scalars as sc
+from freepoisson.errors import ShapeError
 from freepoisson.algebra import (PseudoHilbertAlgebra, direct_sum,
-                                 function_algebra, trivial_algebra)
+                                 function_algebra, structure_constants,
+                                 trivial_algebra)
 from freepoisson.fock import FockSpace, FockVector, gns_algebra
 from freepoisson.ncps import NcProbSpace
 
@@ -29,24 +32,30 @@ def _draw_matrix(data, n, elems):
 
 
 def _draw_algebra(data, kind):
+    """An algebra and the dense lmul matrices it must have."""
     if kind == "function":
         weights = data.draw(st.lists(WEIGHT, min_size=1, max_size=4))
-        return function_algebra(weights, mode=sc.EXACT)
+        return (function_algebra(weights, mode=sc.EXACT),
+                oracles.function_lmul(len(weights), sc.EXACT))
     if kind == "direct_sum":
         weights = data.draw(st.lists(WEIGHT, min_size=1, max_size=3))
         gauss = data.draw(st.lists(WEIGHT, min_size=1, max_size=2))
         gram = sc.zeros((len(gauss), len(gauss)), sc.EXACT)
         for i, w in enumerate(gauss):
             gram[i, i] = w
-        return direct_sum(function_algebra(weights, mode=sc.EXACT),
-                          trivial_algebra(len(gauss), sc.EXACT, gram=gram))
+        return (direct_sum(function_algebra(weights, mode=sc.EXACT),
+                           trivial_algebra(len(gauss), sc.EXACT, gram=gram)),
+                oracles.direct_sum_lmul(
+                    oracles.function_lmul(len(weights), sc.EXACT),
+                    oracles.trivial_lmul(len(gauss), sc.EXACT), sc.EXACT))
     if kind == "gns":
         # one 1x1 block and one 2x2 block with a non-diagonal density
         m = np.array(_draw_matrix(data, 2, CPLX))
         rho = m @ m.conj().T + 0.5 * np.eye(2)
         rho = 0.5 * (rho + rho.conj().T)
         w = data.draw(st.floats(min_value=0.25, max_value=3))
-        return gns_algebra(NcProbSpace([1, 2], [[[w]], rho], mode=sc.FLOAT))
+        return (gns_algebra(NcProbSpace([1, 2], [[[w]], rho], mode=sc.FLOAT)),
+                oracles.gns_lmul([1, 2], sc.FLOAT))
     # a random positive-definite Gram with random sparse S and lmul; the
     # comparison needs no algebra axioms
     n = data.draw(st.integers(1, 3))
@@ -54,10 +63,12 @@ def _draw_algebra(data, kind):
     gram = np.eye(n) + 0.25 * b @ b.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     sparse = SCALARS[sc.FLOAT]
-    return PseudoHilbertAlgebra(
+    lmul = [sc.array(_draw_matrix(data, n, sparse), sc.FLOAT)
+            for _ in range(n)]
+    return (PseudoHilbertAlgebra(
         gram=gram, smat=_draw_matrix(data, n, sparse),
-        lmul=[_draw_matrix(data, n, sparse) for _ in range(n)],
-        mode=sc.FLOAT)
+        structure=structure_constants(lmul, n, sc.FLOAT), mode=sc.FLOAT),
+        lmul)
 
 
 def _draw_vector(data, alg):
@@ -85,13 +96,15 @@ KINDS = ["function", "direct_sum", "gns", "random_gram"]
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_primitives_match_dense_formulas(kind, data):
-    alg = _draw_algebra(data, kind)
+    alg, lmul = _draw_algebra(data, kind)
     u, v = _draw_vector(data, alg), _draw_vector(data, alg)
     mode = alg.mode
-    _assert_same(alg.pi_l(u), oracles.dense_pi_l(alg, u), mode)
-    _assert_same(alg.pi_r(u), oracles.dense_pi_r(alg, u), mode)
+    _assert_same(alg.lmul, lmul, mode)
+    _assert_same(alg.pi_l(u), oracles.dense_pi_l(lmul, u, mode), mode)
+    _assert_same(alg.pi_r(u), oracles.dense_pi_r(lmul, u, mode), mode)
     _assert_same(alg.s_apply(u), oracles.dense_s_apply(alg, u), mode)
-    _assert_same(alg.multiply(u, v), oracles.dense_multiply(alg, u, v), mode)
+    _assert_same(alg.multiply(u, v), oracles.dense_multiply(lmul, u, v, mode),
+                 mode)
     _assert_same(alg.inner(u, v), oracles.dense_inner(alg, u, v), mode)
     _assert_same(alg.gram_row(u), oracles.dense_gram_row(alg, u), mode)
 
@@ -100,7 +113,7 @@ def test_primitives_match_dense_formulas(kind, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fock_inner_matches_dense_gram(kind, data):
-    alg = _draw_algebra(data, kind)
+    alg, _ = _draw_algebra(data, kind)
     fock = FockSpace(alg, 3)
     index = st.integers(0, alg.dim - 1)
     pool = data.draw(st.lists(
@@ -113,3 +126,10 @@ def test_fock_inner_matches_dense_gram(kind, data):
     v = FockVector(fock, {key: data.draw(coeff) for key in pool
                           if data.draw(st.booleans())})
     _assert_same(fock.inner(u, v), oracles.dense_fock_inner(u, v), alg.mode)
+
+
+@pytest.mark.parametrize("const", [(2, 0, 0, 1.0), (0, 2, 0, 1.0),
+                                   (0, 0, -1, 1.0)])
+def test_structure_constant_out_of_range(const):
+    with pytest.raises(ShapeError):
+        PseudoHilbertAlgebra(np.eye(2), np.eye(2), [const])

@@ -249,6 +249,23 @@ def test_fock_rejects_gram_not_positive_definite(capsys, mode, gram):
     assert json.loads(err)["code"] == "not_psd"
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("lmul", [
+    [[[1, 0], [0, 0]]],
+    [[[1, 0], [0, 0]], [[1]]],
+], ids=["count", "shape"])
+def test_fock_rejects_malformed_lmul(capsys, mode, lmul):
+    # one matrix for two basis vectors, or a 1x1 matrix in a 2-dim algebra
+    eye = [[1, 0], [0, 1]]
+    payload = json.dumps({
+        "algebra": {"gram": eye, "s": eye, "lmul": lmul},
+        "truncation": 2, "words": [[1, 0], [0, 1]]})
+    code, out, err = capture(capsys, ["fock", "moments", "--mode", mode,
+                                      "--inline", payload])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "shape"
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "poisson", "--alpha", "abc"],
     ["levy", "recover", "--inline", '{"kappa":["a","b"]}'],

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freepoisson import _scalars as sc
-from freepoisson.algebra import trivial_algebra
+from freepoisson.algebra import function_algebra, trivial_algebra
 from freepoisson.errors import (DomainError, NotTracialError,
                                 OverflowError_, SizeLimitError,
                                 TruncationError)
-from freepoisson.fock import (MAX_TRUNCATION, PROJECTIVE, STRICT, FockSpace,
+from freepoisson.fock import (MAX_TRUNCATION, PROJECTIVE, STRICT,
+                              FockOperator, FockSpace, FockVector,
                               annihilation, creation, field_X, field_Y, gauge,
                               gns_algebra, haagerup_bound, identity,
                               modular_ops, right_field, vacuum_moment, wick,
@@ -356,6 +357,54 @@ def test_strict_mode_overflow_raises():
         vacuum_moment([x, x, x])
     xp = x.with_mode(PROJECTIVE)
     vacuum_moment([xp, xp, xp])   # projective mode just truncates
+
+
+def _top_degree_vector():
+    """3 e_0 x e_1 at the top degree L = 2 of an exact function algebra."""
+    alg = function_algebra([F(1), F(2)])
+    fk = FockSpace(alg, 2)
+    return alg, fk, FockVector(fk, {(0, 1): F(3)})
+
+
+def _word(fk, letters, mode=STRICT):
+    return FockOperator(fk, [(F(1), tuple(letters))], mode)
+
+
+@pytest.mark.parametrize("kind", ["c", "cr"])
+@pytest.mark.parametrize("zero", [False, True], ids=["payload", "zero"])
+def test_strict_creation_at_top_degree_raises(kind, zero):
+    # the degree rule is checked per entry, before the payload is read
+    alg, fk, top = _top_degree_vector()
+    letter = (kind, alg.vector([0, 0] if zero else [1, 1]))
+    with pytest.raises(OverflowError_):
+        _word(fk, [letter]).apply(top)
+    assert _word(fk, [letter], PROJECTIVE).apply(top).entries == {}
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("a", {(1,): F(3)}), ("ar", {(0,): F(6)}),
+    ("g", {(0, 1): F(3)}), ("gr", {(0, 1): F(3)})])
+def test_strict_annihilation_and_gauge_at_top_degree(kind, want):
+    alg, fk, top = _top_degree_vector()
+    one = alg.vector([1, 1])
+    letter = (kind, alg.pi_l(one) if kind in ("g", "gr") else one)
+    for mode in (STRICT, PROJECTIVE):
+        assert _word(fk, [letter], mode).apply(top).entries == want
+
+
+def test_word_stops_at_an_exactly_zero_vector():
+    alg, fk, top = _top_degree_vector()
+    c = ("c", alg.vector([1, 1]))
+    # e_1 is orthogonal to the first leg e_0, and a zero gauge kills all
+    for dead in (("a", alg.basis(1)), ("g", sc.zeros((2, 2), sc.EXACT))):
+        for mode in (STRICT, PROJECTIVE):
+            assert _word(fk, [c, c, dead], mode).apply(top).entries == {}
+    live = ("a", alg.basis(0))
+    with pytest.raises(OverflowError_):
+        _word(fk, [c, c, live]).apply(top)
+    assert _word(fk, [c, c, live], PROJECTIVE).apply(top).entries == {}
+    assert _word(fk, [c, live], PROJECTIVE).apply(top).entries == {
+        (0, 1): F(3), (1, 1): F(3)}
 
 
 def test_dense_cap_bounds_allocated_entries():
