@@ -14,17 +14,20 @@ length k addresses the elementary tensor e_{i1} x ... x e_{ik} in degree k.
 Operators are formal sums of words in the six elementary letters (left and
 right creation / annihilation / gauge); ``_letter_leg`` decodes each into
 the leg matrix it applies.  The letter interpreter serves vector
-application and exact matrices: it is exact in rational mode and detects
-overflow past the truncation letter by letter ("strict" mode) or projects
-it away ("projective" mode).  Float matrices and norms are built from
-sparse letter blocks instead: each letter is one CSR matrix on the
+application and exact comparison: it is exact in rational mode and
+detects overflow past the truncation letter by letter ("strict" mode) or
+projects it away ("projective" mode).  ``FockOperator.is_close`` compares
+exact operators column by column, applying both to each basis vector it
+needs; no exact matrix is ever built.  Float matrices and norms are built
+from sparse letter blocks instead: each letter is one CSR matrix on the
 truncated space (kron(leg, I) per degree), a word is their product, and
 ``FockOperator.sparse`` sums the words.  ``FockOperator.norm`` never
 densifies: it takes the top singular value of the Gram-twisted CSR with
 ARPACK, under a budget on the nonzeros it builds.  Second quantization
-compiles its words from the same blocks.  scipy.sparse and
-scipy.sparse.linalg are imported inside these functions only, so exact
-work never loads them.
+compiles its words from the same blocks.  The Fock inner product and the
+graded modular maps expand each entry leg by leg through one helper,
+``_legwise``.  scipy.sparse and scipy.sparse.linalg are imported inside
+these functions only, so exact work never loads them.
 """
 
 from itertools import product
@@ -203,11 +206,7 @@ class FockSpace:
         rows = self.alg.gram_rows
         total = sc.scalar_zero(self.mode)
         for idx, cu in u.entries.items():
-            partial = {(): np.conjugate(cu)}
-            for a in idx:
-                partial = {key + (b,): c * g for key, c in partial.items()
-                           for b, g in rows[a]}
-            for jdx, c in partial.items():
+            for jdx, c in _legwise(idx, np.conjugate(cu), rows).items():
                 cv = v.entries.get(jdx)
                 if cv is not None:
                     total = total + c * cv
@@ -234,6 +233,19 @@ class FockSpace:
             self._gram_half = (kron_powers(gh, self.L),
                                kron_powers(ghi, self.L))
         return self._gram_half
+
+
+def _legwise(idx, c, cols):
+    """One entry c at idx, expanded leg by leg: {jdx: c * x_1 ... x_k}.
+
+    ``cols[a]`` lists the (b, x) pairs a leg index a expands into: the
+    nonzeros of column a of a leg matrix, or of row a of the Gram.
+    """
+    partial = {(): c}
+    for a in idx:
+        partial = {key + (b,): v * x for key, v in partial.items()
+                   for b, x in cols[a]}
+    return partial
 
 
 def kron_powers(leg, L):
@@ -293,12 +305,6 @@ class FockVector:
         else:
             ent = {k: v for k, v in self.entries.items() if abs(v) > tol}
         return FockVector(self.fock, ent)
-
-    def degree_components(self):
-        out = {}
-        for idx, c in self.entries.items():
-            out.setdefault(len(idx), {})[idx] = c
-        return out
 
     def inner(self, other):
         return self.fock.inner(self, other)
@@ -447,7 +453,6 @@ class FockOperator:
         self.fock = fock
         self.terms = [(c, tuple(ls)) for c, ls in terms]
         self.mode = mode
-        self._matrix = None
 
     # algebra of operators
     def __add__(self, other):
@@ -460,9 +465,9 @@ class FockOperator:
         return FockOperator(self.fock, self.terms + neg, self.mode)
 
     def __mul__(self, other):
-        if np.isscalar(other) or isinstance(other, (int, float, complex)) \
-                or not isinstance(other, FockOperator):
+        if not isinstance(other, FockOperator):
             return self.scale(other)
+        self._check_same_fock(other)
         terms = [(ca * cb, la + lb)
                  for ca, la in self.terms for cb, lb in other.terms]
         return FockOperator(self.fock, terms, self.mode)
@@ -479,8 +484,13 @@ class FockOperator:
 
     def _coerce(self, other):
         if isinstance(other, FockOperator):
-            return other
+            return self._check_same_fock(other)
         return identity(self.fock, self.mode).scale(other)
+
+    def _check_same_fock(self, other):
+        if other.fock is not self.fock:
+            raise ShapeError("operators on different Fock spaces")
+        return other
 
     def with_mode(self, mode):
         return FockOperator(self.fock, self.terms, mode)
@@ -551,26 +561,18 @@ class FockOperator:
                              shape=(f.total_dim, f.total_dim))
 
     def matrix(self):
-        """Dense matrix in the graded canonical basis (cached, projective).
+        """Dense matrix in the graded canonical basis (float, projective).
 
-        A float operator densifies sparse(); an exact one interprets each
-        basis column letter by letter, so its entries stay Fractions.
+        sparse() densified under the dense cap.  Exact operators have no
+        matrix: compare them with is_close, which interprets only the
+        columns it compares.
         """
-        if self._matrix is None:
-            f = self.fock
-            f.check_dense_cap()
-            if f.mode != sc.EXACT:
-                self._matrix = self.sparse().toarray()
-                return self._matrix
-            proj = self.with_mode(PROJECTIVE)
-            m = sc.zeros((f.total_dim, f.total_dim), f.mode)
-            for idx in f.basis_tuples():
-                col = proj.apply(FockVector(f, {idx: sc.scalar_one(f.mode)}))
-                j = f.index(idx)
-                for key, v in col.entries.items():
-                    m[f.index(key), j] = v
-            self._matrix = m
-        return self._matrix
+        f = self.fock
+        if f.mode == sc.EXACT:
+            raise DomainError("exact operators have no dense matrix; "
+                              "compare them with is_close")
+        f.check_dense_cap()
+        return self.sparse().toarray()
 
     def norm(self):
         """Operator norm w.r.t. the Fock inner product (float).
@@ -614,20 +616,33 @@ class FockOperator:
         return scale * float(top[0])
 
     def is_close(self, other, tol=1e-10, max_input_degree=None):
-        """Equality as matrices on the truncated space.
+        """Equality as projective matrices on the truncated space.
 
         ``max_input_degree`` restricts the compared columns: products of
         operators are only faithful to the untruncated composite on inputs
         low enough that no intermediate leg overflows the truncation.
+        Exact operators are applied to each compared basis vector and the
+        images must agree exactly; float ones compare the column slice of
+        sparse() - other.sparse() entrywise within ``tol``.  Both are
+        refused past the dense cap, like matrix().
         """
         f = self.fock
-        d = self.matrix() - other.matrix()
-        if max_input_degree is not None:
-            cols = f.offsets[max_input_degree] + f.degree_dims[max_input_degree]
-            d = d[:, :cols]
+        self._check_same_fock(other)
+        f.check_dense_cap()
+        top = f.L if max_input_degree is None else max_input_degree
         if f.mode == sc.EXACT:
-            return all(x == 0 for x in d.reshape(-1))
-        return float(np.abs(sc.to_float_array(d)).max()) <= tol
+            a, b = self.with_mode(PROJECTIVE), other.with_mode(PROJECTIVE)
+            one = sc.scalar_one(f.mode)
+            for idx in f.basis_tuples():
+                if len(idx) > top:
+                    break
+                e = FockVector(f, {idx: one})
+                if not a.apply(e).is_close(b.apply(e)):
+                    return False
+            return True
+        d = (self.sparse() - other.sparse())[:, :f.offsets[top]
+                                             + f.degree_dims[top]]
+        return float(np.abs(d.data).max(initial=0.0)) <= tol
 
 
 def identity(fock, mode=STRICT):
@@ -776,21 +791,13 @@ class GradedMap:
     def apply(self, vec):
         out = {}
         t = self.leg_matrix
-        dim = self.fock.dim
+        cols = [[(b, t[b, a]) for b in range(self.fock.dim) if t[b, a] != 0]
+                for a in range(self.fock.dim)]
         for idx, c in vec.entries.items():
             if self.antilinear:
                 c = np.conjugate(c)
-            src = tuple(reversed(idx)) if self.reverse else idx
-            partial = {(): c}
-            for leg in src:
-                new = {}
-                for key, v in partial.items():
-                    for b in range(dim):
-                        if t[b, leg] != 0:
-                            kk = key + (b,)
-                            new[kk] = new.get(kk, 0) + v * t[b, leg]
-                partial = new
-            for key, v in partial.items():
+            src = idx[::-1] if self.reverse else idx
+            for key, v in _legwise(src, c, cols).items():
                 if v != 0:
                     out[key] = out.get(key, 0) + v
         return FockVector(self.fock, out).prune()

@@ -64,12 +64,6 @@ class NcPartition:
         """Number of blocks."""
         return len(self.blocks)
 
-    def block_of(self, i):
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise DomainError("element %d not in 1..%d" % (i, self.n))
-
     def to_json(self):
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 

@@ -376,7 +376,7 @@ def conjugate_embedding(t, hs_dual=None, hs=None, l2m=None, l2n=None):
 
 # -- second quantization -------------------------------------------------------
 
-def _psd_sqrt(mat, tol=1e-12):
+def _psd_sqrt(mat):
     h = 0.5 * (mat + mat.conj().T)
     ev, vec = np.linalg.eigh(h)
     ev = np.clip(ev, 0.0, None)
@@ -414,6 +414,10 @@ class Dilation:
 
 
 def build_dilation(t):
+    """The dilation of an admissible map; ValidationError otherwise."""
+    rep = check_admissible(t)
+    if not rep.admissible:
+        raise ValidationError("map is not admissible: %s" % rep.to_json())
     l2m = L2Space(t.source)
     l2n = L2Space(t.target)
     hs = stinespring_bimodule(t, l2m, l2n)
@@ -449,17 +453,15 @@ def second_quantize(t, wick_terms, L, dilation=None):
     p_N p_N* = 1, F(p) g(A) F(p)* = g(p A p*), each payload is compressed
     through p_N once and the words are compiled on the target space,
     under its dense cap.  A p_N further than COISOMETRY_TOL from a
-    coisometry raises DomainError.
+    coisometry raises DomainError.  Admissibility is checked once, by
+    build_dilation: a passed ``dilation`` is not checked again.
     """
     if not wick_terms:
         raise DomainError("empty Wick polynomial")
-    rep = check_admissible(t)
-    if not rep.admissible:
-        raise ValidationError("map is not admissible: %s" % rep.to_json())
+    dil = dilation or build_dilation(t)
     deg = max(len(legs) for _, legs in wick_terms)
     if L < deg + 2:
         raise TruncationError("need L >= degree + 2")
-    dil = dilation or build_dilation(t)
     p_n = dil.p_n
     defect = float(np.abs(p_n @ p_n.conj().T - np.eye(len(p_n))).max())
     if defect > COISOMETRY_TOL:

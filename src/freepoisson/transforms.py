@@ -86,11 +86,6 @@ class Measure:
             total += val
         return total
 
-    def support_interval(self):
-        if self.density is None:
-            return None
-        return density_function(self.density)[1]
-
     def to_json(self):
         obj = {"atoms": [[float(t), float(w)] for t, w in self.atoms]}
         if self.density is not None:
@@ -525,9 +520,6 @@ class FreeConvolution:
 
     def mean(self):
         return sum(p.mean() for p in self.parts)
-
-    def g_inverse(self, z):
-        return (self.c(z) + 1.0) / z
 
     def cauchy(self, z, seed=None):
         """G(z) of the convolution: the root u of C(u) + 1 - z u = 0."""

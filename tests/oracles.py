@@ -5,9 +5,12 @@ them) that its definition names, with no recursion shared with the
 library, so the library's faster forms can be compared against it.  The
 dense oracles compute the algebra primitives from the full structure
 matrices, where the library reads only their nonzero entries.  The Fock
-oracles interpret operators letter by letter, one basis column at a time,
-and build Wick operators by the defining recursion, where the library
-compiles sparse letter blocks and the closed splitting sum.  The letter
+oracles build the whole projective matrix of an operator, one
+interpreted basis column at a time, in exact or float mode (the library
+builds no exact matrix: its exact ``is_close`` interprets only the
+columns it compares, and its float matrices come from sparse letter
+blocks), and build Wick operators by the defining recursion, where the
+library uses the closed splitting sum.  The letter
 block oracle builds through COO and lets scipy sort, where the library
 writes canonical CSR directly.  The second quantization oracle compiles
 the Wick words on the Fock space over the whole dilation space and

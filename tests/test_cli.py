@@ -337,6 +337,17 @@ def test_cp_gamma_is_capped_by_the_target_space(capsys):
     assert json.loads(err)["code"] == "domain"
 
 
+def test_cp_gamma_rejects_an_inadmissible_map(capsys):
+    space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]],
+             "mode": "float"}
+    payload = {"source": space, "target": space, "form": "kraus",
+               "kraus": [[[1.5, 0.0], [0.0, 1.5]]], "wick_legs": [[1.0, 0.0]]}
+    code, out, err = capture(capsys, ["cp", "gamma",
+                                      "--inline", json.dumps(payload)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "validation"
+
+
 def _decode_matrix(rows):
     return np.array([[complex(*v) if isinstance(v, list) else v for v in row]
                      for row in rows], dtype=complex)

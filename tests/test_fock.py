@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from freepoisson import _scalars as sc
 from freepoisson.algebra import function_algebra, trivial_algebra
 from freepoisson.errors import (DomainError, NotTracialError,
-                                OverflowError_, SizeLimitError,
+                                OverflowError_, ShapeError, SizeLimitError,
                                 TruncationError)
 from freepoisson.fock import (MAX_TRUNCATION, PROJECTIVE, STRICT,
                               FockOperator, FockSpace, FockVector,
@@ -420,6 +420,31 @@ def test_dense_cap_bounds_allocated_entries():
     op = creation(FockSpace(alg, 8), xi, PROJECTIVE)
     assert op.matrix().shape == (511, 511)
     assert abs(op.norm() - np.linalg.norm(xi)) < 1e-12
+    # is_close compares columns of the same matrices and keeps the cap,
+    # in both modes
+    for a in (alg, function_algebra([F(1), F(1)])):
+        big = creation(FockSpace(a, 11), a.vector([1, 0]), PROJECTIVE)
+        with pytest.raises(DomainError):
+            big.is_close(big)
+
+
+def test_operator_arithmetic_needs_one_fock_space():
+    f1 = FockSpace(function_algebra([F(1), F(2)]), 3)
+    f2 = FockSpace(function_algebra([F(1), F(3)]), 3)
+    f3 = FockSpace(trivial_algebra(3), 3)
+    xi = f1.alg.vector([F(1), F(1)])
+    a1, c1 = annihilation(f1, xi), creation(f1, xi)
+    c2 = creation(f2, xi)
+    assert vacuum_moment([a1 * c1]) == 3
+    assert vacuum_moment([annihilation(f2, xi) * c2]) == 4
+    for other in (c2, creation(f3, np.ones(3))):
+        for combine in (lambda x, y: x + y, lambda x, y: x - y,
+                        lambda x, y: x * y, lambda x, y: x @ y,
+                        lambda x, y: x.is_close(y)):
+            with pytest.raises(ShapeError):
+                combine(a1, other)
+    assert (2 * c1 - c1).is_close(c1)
+    assert (c1 + 1).is_close(identity(f1) + c1)
 
 
 def test_norm_budget_refuses_before_building(monkeypatch):

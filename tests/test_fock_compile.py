@@ -1,20 +1,24 @@
 """Float Fock operators compiled from sparse letter blocks, against the
 letter-by-letter interpreter and a dense Gram-twisted SVD in ``oracles``.
 Spaces of at least ``DENSE_NORM_DIM`` dimensions take norm() through
-ARPACK; smaller ones through its dense branch."""
+ARPACK; smaller ones through its dense branch.  Operator comparison, in
+both modes, against column slices of the interpreted matrix, and the
+graded maps against Kronecker powers of their leg matrix."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from freepoisson import _scalars as sc
 from freepoisson.algebra import function_algebra, trivial_algebra
+from freepoisson.errors import DomainError
 from freepoisson.fock import (DENSE_NORM_DIM, PROJECTIVE, STRICT,
-                              FockOperator, FockSpace, _letter_matrix,
-                              annihilation, creation, gauge, gns_algebra,
+                              FockOperator, FockSpace, FockVector, GradedMap,
+                              _letter_matrix, annihilation, creation, gauge,
+                              gns_algebra, kron_powers, modular_ops,
                               wick_embedding_In)
 from freepoisson.ncps import NcProbSpace, diag_space
 
@@ -104,21 +108,100 @@ def test_letter_blocks_are_canonical_csr(kind, alg):
         assert np.array_equal(got.data, want.data)
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(["function", "gns"]),
-       L=st.integers(0, 2), mode=st.sampled_from([STRICT, PROJECTIVE]))
-def test_exact_matrix_equals_interpreter(data, kind, L, mode):
+def _exact_algebra(data, kind):
     weights = data.draw(st.lists(st.fractions(min_value=F(1, 4), max_value=3,
                                               max_denominator=5), min_size=1,
                                  max_size=2))
-    alg = (function_algebra(weights) if kind == "function"
-           else gns_algebra(diag_space(weights)))
+    return (function_algebra(weights) if kind == "function"
+            else gns_algebra(diag_space(weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["trivial", "function", "gns"]),
+       exact=st.booleans(), L=st.integers(0, 3),
+       pair=st.sampled_from(["equal", "other", "high"]),
+       modes=st.tuples(st.sampled_from([STRICT, PROJECTIVE]),
+                       st.sampled_from([STRICT, PROJECTIVE])))
+def test_is_close_matches_interpreted_column_slices(data, kind, exact, L,
+                                                    pair, modes):
+    if exact:
+        alg = _exact_algebra(data, "function" if kind == "trivial" else kind)
+    else:
+        alg = _float_algebra(data, kind)
     fock = FockSpace(alg, L)
-    op = _draw_operator(data, fock, FRAC, mode)
-    got = op.matrix()
-    assert got.dtype == object
-    assert all(isinstance(x, F) for x in got.reshape(-1))
-    assert bool(np.all(got == oracles.interpreted_matrix(op)))
+    scalars = FRAC if exact else CPLX
+    op = _draw_operator(data, fock, scalars, modes[0])
+    # "equal": the same terms in reversed order, the same operator summed
+    # in another order; "other": an independent draw; "high": op plus j
+    # annihilations by basis vectors, which vanish exactly on the inputs
+    # of degree below j
+    terms = op.terms[::-1]
+    if pair == "other":
+        terms = _draw_operator(data, fock, scalars, modes[1]).terms
+    elif pair == "high":
+        j = data.draw(st.integers(1, max(L, 1)))
+        down = tuple(("a", alg.basis(data.draw(st.integers(0, alg.dim - 1))))
+                     for _ in range(j))
+        terms = op.terms + [(sc.scalar_one(fock.mode), down)]
+    other = FockOperator(fock, terms, modes[1])
+    diff = oracles.interpreted_matrix(op) - oracles.interpreted_matrix(other)
+    tol = 1e-10
+    for k in list(range(L + 1)) + [None]:
+        top = L if k is None else k
+        cols = diff[:, :fock.offsets[top] + fock.degree_dims[top]]
+        if exact:
+            want = all(x == 0 for x in cols.reshape(-1))
+        else:
+            gap = float(np.abs(cols).max(initial=0.0))
+            # a verdict this close to tol depends on the summation order
+            assume(abs(gap - tol) > 1e-6 * tol)
+            want = gap <= tol
+        assert op.is_close(other, tol=tol, max_input_degree=k) == want
+        if pair == "equal":
+            assert want
+
+
+def test_exact_operators_have_no_dense_matrix():
+    alg = function_algebra([F(1, 2), F(3, 4)])
+    fock = FockSpace(alg, 2)
+    op = creation(fock, alg.vector([F(1), F(2, 3)]), PROJECTIVE)
+    with pytest.raises(DomainError, match="is_close"):
+        op.matrix()
+    assert op.is_close(op.adjoint().adjoint())
+
+
+def _reversal(fock):
+    """Index array p with (R v)[i] = v[p[i]], R reversing the legs."""
+    p = np.empty(fock.total_dim, dtype=int)
+    for idx in fock.basis_tuples():
+        p[fock.index(idx)] = fock.index(idx[::-1])
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), L=st.integers(0, 3), modular=st.booleans())
+def test_graded_map_matches_kron_powers(data, L, modular):
+    if modular:
+        fock = FockSpace(gns_algebra(GNS_SPACE), min(L, 2))
+        maps = modular_ops(fock)
+    else:
+        fock = FockSpace(trivial_algebra(data.draw(st.integers(1, 3))), L)
+        d = fock.dim
+        vals = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0]) | CPLX,
+                                  min_size=d * d, max_size=d * d))
+        leg = np.array(vals, dtype=complex).reshape(d, d)
+        maps = [GradedMap(fock, leg, reverse=data.draw(st.booleans()),
+                          antilinear=data.draw(st.booleans()))]
+    keys = data.draw(st.lists(st.sampled_from(list(fock.basis_tuples())),
+                              unique=True, max_size=12))
+    v = FockVector(fock, {key: data.draw(CPLX) for key in keys})
+    perm = _reversal(fock)
+    for g in maps:
+        x = v.dense()
+        x = x[perm] if g.reverse else x
+        x = np.conj(x) if g.antilinear else x
+        want = kron_powers(sc.to_float_array(g.leg_matrix), fock.L) @ x
+        _assert_close(g.apply(v).dense(), want)
 
 
 def test_operator_without_terms_is_zero():

@@ -399,7 +399,32 @@ def test_second_quantize_rejects_inadmissible():
     s = space2(0.5, 0.5)
     t = CpMap(s, s, [1.5 * np.eye(2, dtype=complex)])
     with pytest.raises(ValidationError):
+        build_dilation(t)
+    with pytest.raises(ValidationError):
         second_quantize(t, [(1.0, [np.ones(2)])], 4)
+    # admissibility is still checked before the truncation
+    with pytest.raises(ValidationError):
+        second_quantize(t, [(1.0, [np.ones(2)])], 1)
+
+
+def test_admissibility_is_checked_once_per_dilation(monkeypatch):
+    from freepoisson import quantize
+    calls = []
+
+    def counted(t, *args):
+        calls.append(t)
+        return check_admissible(t, *args)
+
+    monkeypatch.setattr(quantize, "check_admissible", counted)
+    t = random_admissible(np.random.default_rng(11), space2(0.6, 0.9),
+                          space2(0.8, 0.5))
+    dil = build_dilation(t)
+    assert len(calls) == 1
+    for L in (3, 4):
+        second_quantize(t, [(1.0, [np.ones(2)])], L, dilation=dil)
+    assert len(calls) == 1
+    second_quantize(t, [(1.0, [np.ones(2)])], 3)
+    assert len(calls) == 2
 
 
 def test_second_quantize_needs_no_dilation_fock_space():
