@@ -131,7 +131,7 @@ def _cmd_cum(args):
     if args.op == "to-cumulants":
         out = ncps.cumulants_from_moments(table)
     elif args.op == "to-moments":
-        out = {w: ncps.moments_from_cumulants(table, w) for w in table}
+        out = ncps.moments_table(table, table)
     else:
         raise ValidationError("unknown cum op %r" % args.op)
     return _emit(args, {"values": [

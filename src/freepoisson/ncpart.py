@@ -5,17 +5,23 @@ Partitions are kept in a canonical form (blocks sorted ascending, blocks
 ordered by minimum) so equality is structural and enumeration order is
 reproducible.
 
-Each NC(n) is built and validated once per process: ``enumerate_nc``
-returns a fresh list of the same immutable objects on every call, and a
-partition keeps its Kreweras complement once it has been computed.
+Each NC(n) is built, validated and held once per process: the partition
+objects hold the canonical block tuples of the enumeration, and equal
+blocks are one tuple.  ``enumerate_nc`` returns a fresh list of the same
+immutable objects on every call, and a partition keeps its Kreweras
+complement, which is the shared member of NC(n) once that is built.
 Enumeration stops at ``MAX_ENUM_N`` = 12: building NC(12), 208,012
-partitions, takes about 6 s and 250 MB, and each further n costs about
-four times as much.  ``MAX_N`` = 16 is the word-length cap of the
+partitions, takes about 4 s and adds about 45 MB to the resident size
+(250 MB when each object held its own copy of the tuples), and each
+further n costs about four times as much.  ``MAX_N`` = 16 is the word-length cap of the
 first-block engine in ``ncps``.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import chain, product
 from math import comb
+from operator import itemgetter
 
 from .errors import DomainError, ShapeError, SizeLimitError, ValidationError
 
@@ -34,7 +40,16 @@ class NcPartition:
     __slots__ = ("n", "blocks", "_kreweras")
 
     def __init__(self, n, blocks):
-        blocks = _canonical(blocks)
+        self._hold(n, _canonical(blocks))
+
+    @classmethod
+    def _of_canonical(cls, n, blocks):
+        """Validate and hold ``blocks``, already canonical, as they are."""
+        p = cls.__new__(cls)
+        p._hold(n, blocks)
+        return p
+
+    def _hold(self, n, blocks):
         _check_partition(n, blocks)
         if not _noncrossing(blocks):
             raise ValidationError("blocks are crossing", witness=[list(b) for b in blocks])
@@ -135,39 +150,52 @@ def is_noncrossing(blocks, n=None):
     return _noncrossing(blocks)
 
 
+_BLOCKS = {}
+
+
+def _intern(block):
+    return _BLOCKS.setdefault(block, block)
+
+
 @lru_cache(maxsize=None)
 def _enumerate_canonical(n):
-    """All noncrossing partitions of {1..n} as canonical block tuples."""
+    """All noncrossing partitions of {1..n} as canonical block tuples.
+
+    Equal blocks are one shared tuple, across partitions and across n.
+    """
     if n == 0:
         return ((),)
     out = []
-    rest = list(range(2, n + 1))
+    rest = range(2, n + 1)
     # Choose the block containing 1; the gaps it leaves between consecutive
     # members are partitioned independently (joining across a gap would
-    # cross the first block).
+    # cross the first block), each shifted past its left end.
     for mask in range(1 << (n - 1)):
-        first = [1] + [x for i, x in enumerate(rest) if mask >> i & 1]
-        ends = first[1:] + [n + 1]
-        gaps = [(first[j] + 1, ends[j] - 1) for j in range(len(first))]
-        choices = [_enumerate_canonical(hi - lo + 1) for lo, hi in gaps]
-
-        def rec(k, acc):
-            if k == len(choices):
-                out.append(_canonical([tuple(first)] + acc))
-                return
-            lo = gaps[k][0]
-            for sub in choices[k]:
-                rec(k + 1, acc + [tuple(x + lo - 1 for x in b) for b in sub])
-
-        rec(0, [])
+        first = _intern((1,) + tuple(x for i, x in enumerate(rest)
+                                     if mask >> i & 1))
+        ends = first[1:] + (n + 1,)
+        choices = [[tuple(_intern(tuple(x + lo for x in b)) for b in sub)
+                    for sub in _enumerate_canonical(hi - lo - 1)]
+                   for lo, hi in zip(first, ends)]
+        for gaps in product(*choices):
+            out.append(tuple(sorted(chain((first,), *gaps),
+                                    key=itemgetter(0))))
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+_NC = {}
+
+
 def _partitions(n):
-    """NC(n) as validated ``NcPartition`` objects, built once per n."""
-    return tuple(NcPartition(n, [list(b) for b in blocks])
-                 for blocks in _enumerate_canonical(n))
+    """NC(n) as validated ``NcPartition`` objects, built once per n.
+
+    They hold the tuples of ``_enumerate_canonical(n)``, so NC(n) is held
+    once.
+    """
+    if n not in _NC:
+        _NC[n] = tuple(NcPartition._of_canonical(n, blocks)
+                       for blocks in _enumerate_canonical(n))
+    return _NC[n]
 
 
 def enumerate_nc(n):
@@ -204,7 +232,8 @@ def kreweras(pi):
     Each block acts as the cycle sending every element to the next larger
     one (largest wraps to smallest); composing its inverse with the full
     cycle i -> i+1 yields the complement's blocks.  The result is computed
-    once per partition object and kept on it.
+    once per partition object and kept on it; once NC(n) is built, it is
+    the shared member of ``enumerate_nc(n)``.
     """
     if pi._kreweras is not None:
         return pi._kreweras
@@ -229,7 +258,10 @@ def kreweras(pi):
             seen.add(j)
             j = perm[j]
         blocks.append(cyc)
-    k = NcPartition(n, blocks)
+    if n in _NC:
+        k = _NC[n][bisect_left(_enumerate_canonical(n), _canonical(blocks))]
+    else:
+        k = NcPartition(n, blocks)
     object.__setattr__(pi, "_kreweras", k)
     return k
 

@@ -15,11 +15,19 @@ M over the gaps that V leaves.  Solving the same identity for the one-block
 term inverts it.  Both directions are memoized per word, visit at most
 2^(n-1) first blocks per word of length n, and cap words at
 ``ncpart.MAX_N`` letters.
+
+The lattice sum is homogeneous of degree |w|: if D is the least common
+denominator of an exact table, D^|w| R(w) and D^|w| M(w) are integers, and
+the same holds block by block and gap by gap.  So tables of ``int`` and
+``Fraction`` values run the recursion on Python ints and divide once per
+output word; other scalars keep their own arithmetic.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -161,9 +169,11 @@ def partitioned_moment(space, pi, word):
 def _first_blocks(n):
     """The blocks V of {0..n-1} that contain 0, each with its gaps.
 
-    The gaps are the nonempty intervals strictly between consecutive members
-    of V and after its last member.  The one-block V = (0..n-1), which
-    leaves no gaps, comes last.
+    A block is stored as the getter of its sub-key (``key[:1]`` for the
+    singleton, since ``itemgetter`` of one index returns a bare item) and
+    each gap as a ``slice``: the gaps are the nonempty intervals strictly
+    between consecutive members of V and after its last member.  The
+    one-block V = (0..n-1), which leaves no gaps, comes last.
     """
     if n < 1:
         raise DomainError("n must be >= 1, got %d" % n)
@@ -173,17 +183,15 @@ def _first_blocks(n):
     for mask in range(1 << (n - 1)):
         block = (0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
         ends = block[1:] + (n,)
-        gaps = tuple(tuple(range(lo + 1, hi))
+        gaps = tuple(slice(lo + 1, hi)
                      for lo, hi in zip(block, ends) if hi > lo + 1)
-        out.append((block, gaps))
+        getter = itemgetter(*block) if len(block) > 1 \
+            else itemgetter(slice(0, 1))
+        out.append((getter, gaps))
     return tuple(out)
 
 
-def _sub(key, idx):
-    return tuple(map(key.__getitem__, idx))
-
-
-def _moment_slots(r_slots, n):
+def _moment_slots(r_slots):
     """Memoized moments M(key) = sum_{V ∋ 1} R(key|V) prod_gaps M(key|gap).
 
     ``r_slots`` maps sub-keys to cumulants.  A key is any tuple: a label
@@ -193,9 +201,9 @@ def _moment_slots(r_slots, n):
     def m(key):
         total = 0
         for block, gaps in _first_blocks(len(key)):
-            term = r_slots(_sub(key, block))
+            term = r_slots(block(key))
             for gap in gaps:
-                term = term * m(_sub(key, gap))
+                term = term * m(key[gap])
             total = total + term
         return total
     return m
@@ -215,12 +223,35 @@ def _cumulant_slots(m_slots):
         proper = _first_blocks(len(key))[:-1]
         total = m(key)
         for block, gaps in proper:
-            term = r(_sub(key, block))
+            term = r(block(key))
             for gap in gaps:
-                term = term * m(_sub(key, gap))
+                term = term * m(key[gap])
             total = total - term
         return total
     return r
+
+
+def _on_integers(recursion, get, values):
+    """``recursion(get)``, run on integer numerators where it can be.
+
+    If ``values`` mix ``int`` and ``Fraction`` and nothing else, with least
+    common denominator D, each value the recursion reaches is scaled to the
+    int D^|key| * get(key) and the result of a word is divided by D^|word|.
+    Other tables (all ``int``, float, complex, numpy scalars, whose int64
+    would overflow) run on their own scalars.
+    """
+    kinds = set(map(type, values))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return recursion(get)
+    den = lcm(*set(map(attrgetter("denominator"), values)))
+
+    @lru_cache(maxsize=None)
+    def scaled(key):
+        v = get(key)
+        return v.numerator * (den ** len(key) // v.denominator)
+
+    run = recursion(scaled)
+    return lambda word: Fraction(run(word), den ** len(word))
 
 
 def cumulants_from_moments(moments):
@@ -235,8 +266,23 @@ def cumulants_from_moments(moments):
             raise ValidationError("moments missing subword %r" % (word,))
         return moments[word]
 
-    r = _cumulant_slots(m)
+    r = _on_integers(_cumulant_slots, m, moments.values())
     return {word: r(word) for word in moments}
+
+
+def moments_table(cumulants, words):
+    """M(w) = sum over NC(|w|) of block products of cumulants, per word.
+
+    ``cumulants`` is a word-indexed mapping (or a CumulantFunctional); the
+    words share one memo, so a subword common to several is summed once.
+    Returns a dict from each word (as a tuple) to its moment.
+    """
+    if isinstance(cumulants, CumulantFunctional):
+        get, values = cumulants.value, cumulants.values.values()
+    else:
+        get, values = cumulants.__getitem__, cumulants.values()
+    m = _on_integers(_moment_slots, get, values)
+    return {w: m(w) for w in map(tuple, words)}
 
 
 def moments_from_cumulants(cumulants, word):
@@ -244,10 +290,8 @@ def moments_from_cumulants(cumulants, word):
 
     ``cumulants`` is a word-indexed mapping (or a CumulantFunctional).
     """
-    get = cumulants.value if isinstance(cumulants, CumulantFunctional) \
-        else cumulants.__getitem__
     word = tuple(word)
-    return _moment_slots(get, len(word))(word)
+    return moments_table(cumulants, [word])[word]
 
 
 class CumulantFunctional:
@@ -344,7 +388,7 @@ def product_moments_free(r_x, y_slots, n, y_given="cumulants"):
     """
     if y_given == "cumulants":
         r_y = y_slots
-        m_y = _moment_slots(y_slots, n)
+        m_y = _moment_slots(y_slots)
     elif y_given == "moments":
         m_y = y_slots
         r_y = _cumulant_slots(y_slots)
@@ -432,7 +476,6 @@ def build_pseudo_algebra(cf, degree):
 
     words = []
     for length in range(1, degree + 2):
-        from itertools import product as iproduct
         words.extend(tuple(w) for w in iproduct(cf.index_set, repeat=length))
 
     def inner(w1, w2):

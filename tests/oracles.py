@@ -16,7 +16,10 @@ writes canonical CSR directly.  The second quantization oracle compiles
 the Wick words on the Fock space over the whole dilation space and
 compresses the operator, where the library compresses each leg.  The
 modular oracle applies Delta and J to one matrix unit at a time, where the
-library uses their closed Kronecker forms per block.
+library uses their closed Kronecker forms per block.  The first-block
+oracles run the library's recursion on the table's own scalars, with the
+same operations in the same order, where the library scales exact tables
+to integers.
 """
 
 import numpy as np
@@ -60,6 +63,50 @@ def lattice_cumulants(moments):
             total = total - term
         cums[word] = total
     return cums
+
+
+def _first_blocks(n):
+    for mask in range(1 << (n - 1)):
+        block = (0,) + tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
+        ends = block[1:] + (n,)
+        yield block, [range(lo + 1, hi) for lo, hi in zip(block, ends)
+                      if hi > lo + 1]
+
+
+def first_block_moments(cumulants, words):
+    """M(w) for each word by the first-block recursion, in plain arithmetic."""
+    memo = {}
+
+    def m(key):
+        if key not in memo:
+            total = 0
+            for block, gaps in _first_blocks(len(key)):
+                term = cumulants[tuple(key[i] for i in block)]
+                for gap in gaps:
+                    term = term * m(tuple(key[i] for i in gap))
+                total = total + term
+            memo[key] = total
+        return memo[key]
+
+    return {w: m(w) for w in words}
+
+
+def first_block_cumulants(moments):
+    """R(w) for each word of ``moments`` by the first-block inversion."""
+    memo = {}
+
+    def r(key):
+        if key not in memo:
+            total = moments[key]
+            for block, gaps in list(_first_blocks(len(key)))[:-1]:
+                term = r(tuple(key[i] for i in block))
+                for gap in gaps:
+                    term = term * moments[tuple(key[i] for i in gap)]
+                total = total - term
+            memo[key] = total
+        return memo[key]
+
+    return {w: r(w) for w in moments}
 
 
 def kreweras_brute(pi):

@@ -96,6 +96,21 @@ def test_kreweras_memoized_on_the_partition():
             assert kreweras(fresh) == k
 
 
+def test_kreweras_returns_the_shared_member():
+    for n in range(1, 9):
+        members = {p: p for p in enumerate_nc(n)}
+        for p in enumerate_nc(n):
+            assert kreweras(p) is members[kreweras(p)]
+        assert kreweras(NcPartition(n, [[i] for i in range(1, n + 1)])) \
+            is members[NcPartition.one_block(n)]
+
+
+def test_nc_blocks_are_held_once():
+    parts = enumerate_nc(8)
+    blocks = [b for p in parts for b in p.blocks]
+    assert len({id(b) for b in blocks}) == len(set(blocks))
+
+
 def test_memo_slot_is_immutable():
     p = NcPartition(3, [[1, 3], [2]])
     kreweras(p)

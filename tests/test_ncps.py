@@ -1,25 +1,30 @@
 """Moment/cumulant engine: exact roundtrips, product formulas, freeness,
 and the Gram construction of the word algebra."""
 
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freepoisson import _scalars as sc
+from freepoisson import _scalars as sc, ncps
+from freepoisson.cli import run
 from freepoisson.errors import (NotClosingError, NotPsdError, NotTracialError,
                                 SizeLimitError, ValidationError)
-from freepoisson.ncpart import NcPartition, enumerate_nc
+from freepoisson.ncpart import NcPartition, catalan, enumerate_nc
 from freepoisson.ncps import (CumulantFunctional, NcProbSpace,
                               build_pseudo_algebra, check_freeness,
                               cumulants_from_moments, diag_space, moment,
-                              moments_from_cumulants, partitioned_moment,
-                              product_moments_free, slots_from_sequence)
+                              moments_from_cumulants, moments_table,
+                              partitioned_moment, product_moments_free,
+                              slots_from_sequence)
 
-from oracles import lattice_cumulants, lattice_moment
+from oracles import (first_block_cumulants, first_block_moments,
+                     lattice_cumulants, lattice_moment)
 
 
 def rand_frac(rng, lo=-4, hi=4, den=5):
@@ -152,6 +157,89 @@ def test_word_past_cap_is_size_limit_in_both_directions():
         cumulants_from_moments({word: F(1)})
     with pytest.raises(SizeLimitError):
         moments_from_cumulants({word: F(1)}, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_engine_matches_lattice_sums_on_exact_tables(data):
+    letters = "xyz"[:data.draw(st.integers(1, 3))]
+    max_len = {1: 7, 2: 4, 3: 3}[len(letters)]
+    words = [w for k in range(1, max_len + 1)
+             for w in product(letters, repeat=k)]
+    ints = st.integers(-6, 6)
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    value = data.draw(st.sampled_from([ints, fracs, st.one_of(ints, fracs)]))
+    table = data.draw(st.fixed_dictionaries({w: value for w in words}))
+    assert moments_table(table, words) == \
+        {w: lattice_moment(table, w) for w in words}
+    assert cumulants_from_moments(table) == lattice_cumulants(table)
+
+
+def test_all_int_tables_return_ints():
+    words = [w for k in range(1, 6) for w in product("ab", repeat=k)]
+    table = {w: (-1) ** len(w) * (len(w) + (w[0] == "a")) for w in words}
+    moms = moments_table(table, words)
+    cums = cumulants_from_moments(table)
+    for out in (moms, cums):
+        assert all(type(v) is int for v in out.values())
+    assert cumulants_from_moments(moms) == table
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform(-2, 2),
+    lambda rng: complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
+    lambda rng: np.int64(rng.randint(-3, 3)),
+    lambda rng: rng.choice([rand_frac(rng), np.int64(rng.randint(-3, 3))]),
+    lambda rng: rng.choice([rand_frac(rng), rng.uniform(-2, 2)])],
+    ids=["float", "complex", "int64", "fraction_and_int64",
+         "fraction_and_float"])
+def test_inexact_tables_keep_plain_arithmetic(draw):
+    rng = random.Random(23)
+    words = [w for k in range(1, 6) for w in product("ab", repeat=k)]
+    table = {w: draw(rng) for w in words}
+
+    def bits(out):
+        return [(type(out[w]), repr(out[w])) for w in words]
+
+    assert bits(moments_table(table, words)) == \
+        bits(first_block_moments(table, words))
+    assert bits(cumulants_from_moments(table)) == \
+        bits(first_block_cumulants(table))
+
+
+def test_cum_to_moments_json_is_the_same_batched_or_per_word(capsys,
+                                                             monkeypatch):
+    rng = random.Random(31)
+    words = [w for k in range(1, 6) for w in product("ab", repeat=k)]
+    values = [{"word": list(w),
+               "value": {"num": rng.randint(-4, 4), "den": rng.randint(1, 5)}}
+              for w in words]
+    argv = ["cum", "to-moments", "--mode", "exact", "--inline",
+            json.dumps({"values": values})]
+    assert run(argv) == 0
+    batched = capsys.readouterr().out
+    table = moments_table
+    monkeypatch.setattr(ncps, "moments_table", lambda cums, ws: {
+        w: table(cums, [w])[w] for w in map(tuple, ws)})
+    assert run(argv) == 0
+    assert capsys.readouterr().out == batched
+
+
+def test_closed_forms_at_order_16():
+    words = [("x",) * n for n in range(1, 17)]
+    semicircle = {w: int(len(w) == 2) for w in words}
+    moms = moments_table(semicircle, words)
+    assert moms == {w: 0 if len(w) % 2 else catalan(len(w) // 2)
+                    for w in words}
+    assert cumulants_from_moments(moms) == semicircle
+    lam = F(3, 7)
+    poisson = {w: lam for w in words}
+    narayana = {w: [comb(len(w), k) * comb(len(w), k - 1) // len(w)
+                    for k in range(1, len(w) + 1)] for w in words}
+    moms = moments_table(poisson, words)
+    assert moms == {w: sum(c * lam ** (k + 1) for k, c in enumerate(ns))
+                    for w, ns in narayana.items()}
+    assert cumulants_from_moments(moms) == poisson
 
 
 def test_moments_from_cumulants_counting():
@@ -295,7 +383,7 @@ def test_product_accepts_moment_data():
     ky = [rand_frac(rng) for _ in range(4)]
     r_x, r_y = slots_from_sequence(kx), slots_from_sequence(ky)
     from freepoisson.ncps import _moment_slots
-    m_y = _moment_slots(r_y, 4)
+    m_y = _moment_slots(r_y)
     for n in (2, 3, 4):
         a = product_moments_free(r_x, r_y, n)
         b = product_moments_free(r_x, m_y, n, y_given="moments")
