@@ -13,8 +13,8 @@ complement, which is the shared member of NC(n) once that is built.
 Enumeration stops at ``MAX_ENUM_N`` = 12: building NC(12), 208,012
 partitions, takes about 4 s and adds about 45 MB to the resident size
 (250 MB when each object held its own copy of the tuples), and each
-further n costs about four times as much.  ``MAX_N`` = 16 is the word-length cap of the
-first-block engine in ``ncps``.
+further n costs about four times as much.  ``MAX_N`` = 16 is the
+word-length cap of the first-block engine in ``ncps``.
 """
 
 from bisect import bisect_left
