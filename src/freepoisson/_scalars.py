@@ -59,10 +59,6 @@ def conj(a):
     return np.conjugate(a)
 
 
-def is_exact_array(a):
-    return isinstance(a, np.ndarray) and a.dtype == object
-
-
 def scalar_zero(mode):
     return Fraction(0) if mode == EXACT else 0j
 
@@ -122,7 +118,7 @@ def exact_solve(mat, rhs):
     return [m[i][n] for i in range(n)]
 
 
-def rank(mat, mode, rtol=1e-9):
+def rank(mat, mode):
     if mode == EXACT:
         return exact_rank(mat)
     a = np.asarray(mat, dtype=complex)
@@ -131,7 +127,7 @@ def rank(mat, mode, rtol=1e-9):
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > 1e-9 * s[0]))
 
 
 def solve_gram(gram, rhs, mode):
@@ -144,6 +140,6 @@ def solve_gram(gram, rhs, mode):
 
 
 def to_float_array(a):
-    if is_exact_array(a):
+    if isinstance(a, np.ndarray) and a.dtype == object:
         return np.asarray(a, dtype=float).astype(complex)
     return np.asarray(a, dtype=complex)

@@ -21,8 +21,7 @@ dense left-multiplication matrices converts them with
 inner, gram_row) reads only nonzeros: the constants, the entries of smat
 and the per-row nonzeros of the Gram (gram_rows), so a function algebra
 is built in O(d^2) and its primitives cost O(d).  ``lmul`` is a dense
-view derived on each read, for validate(), JSON and the Stinespring
-bimodule.
+view derived on each read, for validate() and the Stinespring bimodule.
 """
 
 import numpy as np
@@ -95,9 +94,6 @@ class PseudoHilbertAlgebra:
                     out[i] += cx * g
         return out
 
-    def norm(self, u):
-        return float(abs(self.inner(u, u))) ** 0.5
-
     def s_apply(self, v):
         vc = sc.conj(v)
         out = sc.zeros(self.dim, self.mode)
@@ -149,7 +145,9 @@ class PseudoHilbertAlgebra:
 
     # -- structure checks (used by tests) ---------------------------------
 
-    def validate(self, tol=1e-9):
+    def validate(self):
+        tol = 1e-9
+
         def close(a, b):
             if self.mode == sc.EXACT:
                 return np.all(a == b)
@@ -185,16 +183,6 @@ class PseudoHilbertAlgebra:
                 if not close(self.pi_l(prod), lmul[i] @ lmul[j]):
                     raise ValidationError("multiplication not associative")
         return True
-
-    def to_json(self):
-        from .cli import encode_matrix
-        obj = {"gram": encode_matrix(self.gram, self.mode),
-               "s": encode_matrix(self.smat, self.mode),
-               "lmul": [encode_matrix(m, self.mode) for m in self.lmul],
-               "mode": self.mode}
-        if self.unit is not None:
-            obj["unit"] = encode_matrix(self.unit.reshape(1, -1), self.mode)[0]
-        return obj
 
 
 def _nonzeros(mat):
@@ -247,17 +235,22 @@ def function_algebra(weights, mode=sc.EXACT):
 
 
 def direct_sum(a, b):
-    """Orthogonal direct sum; cross products vanish."""
+    """Orthogonal direct sum; cross products vanish.
+
+    Delta and J are block diagonal, each summand contributing its own or,
+    lacking one, the identity and S.
+    """
     if a.mode != b.mode:
         raise DomainError("mixed scalar modes")
     mode = a.mode
     d = a.dim + b.dim
-    g = sc.zeros((d, d), mode)
-    g[:a.dim, :a.dim] = a.gram
-    g[a.dim:, a.dim:] = b.gram
-    s = sc.zeros((d, d), mode)
-    s[:a.dim, :a.dim] = a.smat
-    s[a.dim:, a.dim:] = b.smat
+
+    def blockdiag(ma, mb):
+        out = sc.zeros((d, d), mode)
+        out[:a.dim, :a.dim] = ma
+        out[a.dim:, a.dim:] = mb
+        return out
+
     structure = [(i + o, r + o, c + o, x)
                  for alg, o in ((a, 0), (b, a.dim))
                  for i, entries in enumerate(alg.structure)
@@ -267,12 +260,14 @@ def direct_sum(a, b):
         unit = sc.zeros(d, mode)
         unit[:a.dim] = a.unit
         unit[a.dim:] = b.unit
-    out = PseudoHilbertAlgebra(gram=g, smat=s, structure=structure,
-                               unit=unit, mode=mode)
+    delta = jmat = None
     if a.delta is not None or b.delta is not None:
-        da = a.delta if a.delta is not None else sc.eye(a.dim, mode)
-        db = b.delta if b.delta is not None else sc.eye(b.dim, mode)
-        out.delta = sc.zeros((d, d), mode)
-        out.delta[:a.dim, :a.dim] = da
-        out.delta[a.dim:, a.dim:] = db
-    return out
+        delta = blockdiag(sc.eye(a.dim, mode) if a.delta is None else a.delta,
+                          sc.eye(b.dim, mode) if b.delta is None else b.delta)
+    if a.jmat is not None or b.jmat is not None:
+        jmat = blockdiag(a.smat if a.jmat is None else a.jmat,
+                         b.smat if b.jmat is None else b.jmat)
+    return PseudoHilbertAlgebra(gram=blockdiag(a.gram, b.gram),
+                                smat=blockdiag(a.smat, b.smat),
+                                structure=structure, unit=unit, delta=delta,
+                                jmat=jmat, mode=mode)

@@ -10,7 +10,7 @@ L(F_{2n}) * (L(F_2)_beta + C_{1-beta}) = L(F_{2n + 2 beta}).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ValidationError
@@ -205,7 +205,7 @@ def factoriality(total_weight, algebra_is_trivial):
     return False, "total weight below 1 leaves a central atom"
 
 
-def modular_spectrum_subgroup(eigenvalues, tol=1e-9):
+def modular_spectrum_subgroup(eigenvalues):
     """The subgroup of R_+ generated by Delta eigenvalues, as a report.
 
     Returns ("trivial",), ("cyclic", generator) when all logs are
@@ -218,7 +218,7 @@ def modular_spectrum_subgroup(eigenvalues, tol=1e-9):
         if ev <= 0:
             raise DomainError("Delta eigenvalues must be positive")
         l = math.log(ev)
-        if abs(l) > tol:
+        if abs(l) > 1e-9:
             logs.append(l)
     if not logs:
         return ("trivial",)

@@ -56,10 +56,7 @@ def decode_scalar(obj, mode):
 
 
 def encode_matrix(m, mode):
-    m = np.asarray(m)
-    if m.ndim == 1:
-        return [encode_scalar(x, mode) for x in m]
-    return [[encode_scalar(x, mode) for x in row] for row in m]
+    return [[encode_scalar(x, mode) for x in row] for row in np.asarray(m)]
 
 
 def decode_matrix(rows, mode):
@@ -225,9 +222,9 @@ def _cmd_dist(args):
             if fails:
                 out["failures"] = [{"x": x, "message": m} for x, m in fails]
         if "points" in data:
-            out["C"] = [[complex(conv.c(complex(z[0], z[1]))).real,
-                         complex(conv.c(complex(z[0], z[1]))).imag]
-                        for z in data["points"]]
+            cs = [complex(conv.c(complex(z[0], z[1])))
+                  for z in data["points"]]
+            out["C"] = [[c.real, c.imag] for c in cs]
         return _emit(args, out)
     raise ValidationError("unknown dist op %r" % args.op)
 

@@ -145,7 +145,7 @@ def gns_algebra(space):
 class FockSpace:
     """Bookkeeping for the truncation C Omega + H + ... + H^{x L}."""
 
-    def __init__(self, alg, L, mode=None):
+    def __init__(self, alg, L):
         if L > MAX_TRUNCATION:
             raise SizeLimitError("truncation %d exceeds the cap %d"
                                  % (L, MAX_TRUNCATION))
@@ -155,7 +155,7 @@ class FockSpace:
         self.dim = alg.dim
         self.gram = alg.gram
         self.L = int(L)
-        self.mode = alg.mode if mode is None else mode
+        self.mode = alg.mode
         self.degree_dims = [self.dim ** k for k in range(self.L + 1)]
         self.total_dim = sum(self.degree_dims)
         self.offsets = [0]
@@ -281,9 +281,6 @@ class FockVector:
         self.fock = fock
         self.entries = {} if entries is None else dict(entries)
 
-    def copy(self):
-        return FockVector(self.fock, self.entries)
-
     def __add__(self, other):
         out = dict(self.entries)
         for k, v in other.entries.items():
@@ -299,12 +296,9 @@ class FockVector:
     def scale(self, c):
         return FockVector(self.fock, {k: c * v for k, v in self.entries.items()})
 
-    def prune(self, tol=0.0):
-        if tol == 0.0:
-            ent = {k: v for k, v in self.entries.items() if v != 0}
-        else:
-            ent = {k: v for k, v in self.entries.items() if abs(v) > tol}
-        return FockVector(self.fock, ent)
+    def prune(self):
+        return FockVector(self.fock, {k: v for k, v in self.entries.items()
+                                      if v != 0})
 
     def inner(self, other):
         return self.fock.inner(self, other)
@@ -684,7 +678,7 @@ def field_Y(fock, x, mode=STRICT):
     return field_X(fock, xi, mode) + identity(fock, mode).scale(alg.phi(x))
 
 
-def vacuum_moment(ops, L=None):
+def vacuum_moment(ops):
     """<Omega, op_1 ... op_k Omega>; exact when nothing overflows.
 
     All operators must share one Fock space whose truncation is at least
@@ -694,9 +688,6 @@ def vacuum_moment(ops, L=None):
     if not ops:
         return 1
     fock = ops[0].fock
-    if L is not None and fock.L < L:
-        raise TruncationError("fock truncation %d < requested L=%d"
-                              % (fock.L, L))
     vec = fock.vacuum()
     for op in reversed(ops):
         if op.fock is not fock:
@@ -840,7 +831,7 @@ def right_field(fock, eta, mode=STRICT):
 
 # -- Wick embedding of tensor powers (finite weight) --------------------------
 
-def wick_embedding_In(fock, factors, L=None):
+def wick_embedding_In(fock, factors):
     """I_n(x_1 x ... x x_n) = Psi(x_1 xi x ... x x_n xi), xi = eta(1).
 
     ``factors`` is a list of elements of the underlying space (a single
@@ -854,8 +845,6 @@ def wick_embedding_In(fock, factors, L=None):
     n = len(factors)
     if n > 4:
         raise DomainError("embedding order capped at 4")
-    if L is not None and fock.L < 2 * n:
-        raise TruncationError("need L >= 2n")
     legs = [alg.eta(x) for x in factors]
     legs = [alg.pi_l(leg) @ alg.unit for leg in legs]
     op = wick(fock, legs, PROJECTIVE)

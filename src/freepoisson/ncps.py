@@ -86,11 +86,6 @@ class NcProbSpace:
                         (vec / ev) @ vec.conj().T))
         return out
 
-    @property
-    def dim(self):
-        """Linear dimension of the algebra."""
-        return sum(d * d for d in self.block_dims)
-
     def total_weight(self):
         """phi(1) = trace(rho)."""
         return sum(b.trace() for b in self.density)
@@ -111,9 +106,6 @@ class NcProbSpace:
 
     def identity(self):
         return [sc.eye(d, self.mode) for d in self.block_dims]
-
-    def adjoint(self, x):
-        return [sc.conj(b).T.copy() for b in x]
 
     def multiply(self, x, y):
         return [bx @ by for bx, by in zip(x, y)]
@@ -411,7 +403,7 @@ def product_moments_free(r_x, y_slots, n, y_given="cumulants"):
     return r_total, m_total
 
 
-def check_freeness(space, family_a, family_b, n_max, tol=None):
+def check_freeness(space, family_a, family_b, n_max):
     """Mixed-cumulant freeness test up to order n_max.
 
     Returns (True, None) or (False, witness_word) where the witness names
@@ -422,8 +414,7 @@ def check_freeness(space, family_a, family_b, n_max, tol=None):
     names_a = ["a%d" % i for i in range(len(family_a))]
     names_b = ["b%d" % i for i in range(len(family_b))]
     elements = dict(zip(names_a + names_b, list(family_a) + list(family_b)))
-    if tol is None:
-        tol = 0 if space.mode == sc.EXACT else FLOAT_TOL
+    tol = 0 if space.mode == sc.EXACT else FLOAT_TOL
 
     def mom(word):
         return moment(space, [elements[c] for c in word])

@@ -170,7 +170,7 @@ class CpMap:
         return np.array(cols).T
 
     @classmethod
-    def from_choi(cls, source, target, choi, tol=1e-12):
+    def from_choi(cls, source, target, choi):
         dm = sum(source.block_dims)
         dn = sum(target.block_dims)
         if choi.shape != (dm * dn, dm * dn):
@@ -182,7 +182,7 @@ class CpMap:
                               witness={"min_eig": float(ev.min())})
         kraus = []
         for lam, w in zip(ev, vec.T):
-            if lam > tol:
+            if lam > 1e-12:
                 kraus.append(math.sqrt(lam) *
                              w.reshape(dm, dn).T)
         return cls(source, target, kraus)
@@ -215,8 +215,9 @@ class AdmissibilityReport:
         return out
 
 
-def check_admissible(t, tol=1e-10):
+def check_admissible(t):
     """CP / subunital / weight-decreasing booleans with witnesses."""
+    tol = 1e-10
     witnesses = {}
     choi = t.choi()
     ev, vec = np.linalg.eigh(0.5 * (choi + choi.conj().T))
@@ -350,7 +351,7 @@ def stinespring_bimodule(t, l2m=None, l2n=None):
                      i_n=i_n)
 
 
-def conjugate_embedding(t, hs_dual=None, hs=None, l2m=None, l2n=None):
+def conjugate_embedding(t):
     """The N-M isometry H_{T*} -> conj(H_T) of the duality.
 
     Maps n (x)_{T*} J eta(m) to the conjugate of m (x)_T J eta(n).
@@ -358,11 +359,10 @@ def conjugate_embedding(t, hs_dual=None, hs=None, l2m=None, l2n=None):
     coordinates, which makes the embedding a plain linear isometry:
     returns (C, gram space of T*, gram space of T) with C^H C = 1.
     """
-    l2m = l2m or L2Space(t.source)
-    l2n = l2n or L2Space(t.target)
-    tstar = petz_dual(t)
-    hs = hs or stinespring_bimodule(t, l2m, l2n)
-    hs_dual = hs_dual or stinespring_bimodule(tstar, l2n, l2m)
+    l2m = L2Space(t.source)
+    l2n = L2Space(t.target)
+    hs = stinespring_bimodule(t, l2m, l2n)
+    hs_dual = stinespring_bimodule(petz_dual(t), l2n, l2m)
 
     # the raw basis vector e_c (x) e_a of H_{T*} is n (x) J eta(m) with
     # eta(n) = e_c and eta(m) = J e_a (J is an involution); its image is
@@ -480,11 +480,9 @@ def second_quantize(t, wick_terms, L, dilation=None):
     return FockOperator(fock, terms, PROJECTIVE).matrix()
 
 
-def wick_matrix_on_target(t, legs_n, L, l2n=None):
+def wick_matrix_on_target(t, legs_n, L):
     """Psi(legs) on the truncated Fock space over L^2(N), dense matrix."""
-    l2n = l2n or L2Space(t.target)
-    alg = l2n.onb_algebra()
-    fk = FockSpace(alg, L)
+    fk = FockSpace(L2Space(t.target).onb_algebra(), L)
     op = wick(fk, [np.asarray(x, dtype=complex) for x in legs_n],
               mode=PROJECTIVE)
     return sc.to_float_array(op.matrix())

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import (DomainError, NonConvergenceError, NotPsdError,
-                     ShapeError, ValidationError)
+from .errors import (DomainError, NonConvergenceError, ShapeError,
+                     ValidationError)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 100
@@ -58,16 +58,6 @@ class Measure:
             else:
                 raise DomainError("unknown density tag %r" % (kind,))
 
-    def mass(self):
-        total = sum(w for _, w in self.atoms)
-        if self.density is not None:
-            kind = self.density[0]
-            if kind == "free_poisson":
-                total += min(self.density[1], 1.0)
-            elif kind == "semicircle":
-                total += 1.0
-        return total
-
     def mean(self):
         total = sum(w * t for t, w in self.atoms)
         if self.density is not None:
@@ -76,13 +66,13 @@ class Measure:
             total += self.density[1]
         return total
 
-    def moment(self, n, tol=1e-10):
+    def moment(self, n):
         """n-th raw moment, quadrature for the density part."""
         total = sum(w * t ** n for t, w in self.atoms)
         if self.density is not None:
             f, (lo, hi) = density_function(self.density)
             val, _ = integrate.quad(lambda x: x ** n * f(x), lo, hi,
-                                    epsabs=tol, epsrel=tol, limit=200)
+                                    epsabs=1e-10, epsrel=1e-10, limit=200)
             total += val
         return total
 
@@ -176,7 +166,7 @@ def _cauchy_closed_form(tag, z):
     raise DomainError("unknown density tag %r" % (tag,))
 
 
-def cauchy_transform(measure, z, quadrature=False, tol=1e-9):
+def cauchy_transform(measure, z, quadrature=False):
     """G(z) = integral of 1/(z - t) against the measure.
 
     Atoms are summed exactly; closed-form densities use their explicit
@@ -194,6 +184,7 @@ def cauchy_transform(measure, z, quadrature=False, tol=1e-9):
         if not quadrature:
             total += _density_g(measure, z)
         else:
+            tol = 1e-9
             f, (lo, hi) = density_function(measure.density)
             x, y = z.real, z.imag
             if y == 0 and lo < x < hi:
@@ -237,13 +228,12 @@ def _density_g(measure, z):
     return _cauchy_closed_form(measure.density, z)
 
 
-def _newton_invert(g, gprime, target, seed, tol=NEWTON_TOL,
-                   maxit=NEWTON_MAXIT):
+def _newton_invert(g, gprime, target, seed):
     """Solve g(w) = target by damped Newton from ``seed``."""
     w = complex(seed)
     r = g(w) - target
-    for _ in range(maxit):
-        if abs(r) < tol:
+    for _ in range(NEWTON_MAXIT):
+        if abs(r) < NEWTON_TOL:
             return w
         d = gprime(w)
         if d == 0:
@@ -265,7 +255,7 @@ def _newton_invert(g, gprime, target, seed, tol=NEWTON_TOL,
             raise NonConvergenceError("Newton stalled",
                                       witness=[w.real, w.imag])
         w, r = w2, r2
-    if abs(r) < tol:
+    if abs(r) < NEWTON_TOL:
         return w
     raise NonConvergenceError("Newton did not converge",
                               witness=[w.real, w.imag])
@@ -542,8 +532,9 @@ class FreeConvolution:
                 last = exc
         raise last
 
-    def density_on_grid(self, xs, eps=STIELTJES_EPS):
-        """Recovered density by -Im G(x + i eps)/pi, Richardson order 2.
+    def density_on_grid(self, xs):
+        """Recovered density by -Im G(x + i eps)/pi, Richardson order 2,
+        at eps = STIELTJES_EPS.
 
         Returns (values, failures): failed grid points carry NaN and are
         listed with the failure message.
@@ -557,18 +548,18 @@ class FreeConvolution:
                 # point, then reuse the neighbour's solution
                 if seed1 is None:
                     w = None
-                    for height in np.geomspace(1.0, eps, 12):
+                    for height in np.geomspace(1.0, STIELTJES_EPS, 12):
                         w = self.cauchy(complex(x, height), seed=w)
                     g1 = w
                 else:
-                    g1 = self.cauchy(complex(x, eps), seed=seed1)
+                    g1 = self.cauchy(complex(x, STIELTJES_EPS), seed=seed1)
                 if seed2 is None:
                     w = None
-                    for height in np.geomspace(1.0, 2 * eps, 12):
+                    for height in np.geomspace(1.0, 2 * STIELTJES_EPS, 12):
                         w = self.cauchy(complex(x, height), seed=w)
                     g2 = w
                 else:
-                    g2 = self.cauchy(complex(x, 2 * eps), seed=seed2)
+                    g2 = self.cauchy(complex(x, 2 * STIELTJES_EPS), seed=seed2)
                 seed1, seed2 = g1, g2
                 f1 = -g1.imag / math.pi
                 f2 = -g2.imag / math.pi

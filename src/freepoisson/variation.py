@@ -12,7 +12,7 @@ vacuum), then the decay against the bin count N is fit by a log-log slope.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import _scalars as sc
 from .algebra import direct_sum, function_algebra, trivial_algebra
 from .errors import DomainError, ShapeError
-from .fock import FockSpace, FockOperator, field_X, identity
+from .fock import FockSpace, field_X
 
 DIM_CAP = 64
 

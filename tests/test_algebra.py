@@ -133,3 +133,15 @@ def test_fock_inner_matches_dense_gram(kind, data):
 def test_structure_constant_out_of_range(const):
     with pytest.raises(ShapeError):
         PseudoHilbertAlgebra(np.eye(2), np.eye(2), [const])
+
+
+def test_direct_sum_keeps_j():
+    """J = S Delta^{-1/2} on a sum with a non-tracial GNS summand."""
+    gns = gns_algebra(NcProbSpace([2], [[[0.7, 0.1], [0.1, 0.3]]]))
+    alg = direct_sum(gns, function_algebra([0.5, 0.25], mode=sc.FLOAT))
+    ev, vec = np.linalg.eigh(alg.delta)
+    delta_inv_half = (vec / np.sqrt(ev)) @ vec.conj().T
+    for i in range(alg.dim):
+        e = alg.basis(i)
+        err = np.abs(alg.j_apply(e) - alg.s_apply(delta_inv_half @ e)).max()
+        assert err <= 1e-12

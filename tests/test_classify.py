@@ -115,7 +115,7 @@ def test_modular_subgroup_reports():
     assert kind == "cyclic" and abs(gen - 2.0) < 1e-9
     kind, gen = modular_spectrum_subgroup([2.0, 2.0 ** 0.5])
     assert kind == "cyclic" and abs(gen - 2.0 ** 0.5) < 1e-6
-    assert modular_spectrum_subgroup([2.0, 3.0])[0] == "dense" or True
+    assert modular_spectrum_subgroup([2.0, 3.0])[0] == "dense"
     # irrational log ratio: genuinely dense
     import math
     assert modular_spectrum_subgroup([2.0, math.exp(math.pi)])[0] == "dense"

@@ -117,6 +117,29 @@ def test_dist_density_value(capsys):
     assert data["support"] == [0.0, 4.0]
 
 
+def test_dist_conv_evaluates_c_once_per_point(capsys, monkeypatch):
+    from freepoisson import transforms as tr
+    calls = []
+    c = tr.FreeConvolution.c
+
+    def counted(self, z):
+        calls.append(z)
+        return c(self, z)
+
+    monkeypatch.setattr(tr.FreeConvolution, "c", counted)
+    triple = {"a": 0.3, "b": 0.5, "rho": {"atoms": [[0.5, 0.7], [2.0, 0.2]]}}
+    points = [[0.1, 0.05], [-0.2, 0.1], [0.0, 0.2]]
+    payload = {"parts": [triple, {"atoms": [[1.0, 1.0]]}], "points": points}
+    code, out, _ = capture(capsys, ["dist", "conv", "--inline",
+                                    json.dumps(payload)])
+    assert code == 0
+    assert len(calls) == len(points)
+    # C of the unit point mass at 1 is z
+    want = [tr.levy_khintchine_C(tr.LevyTriple.from_json(triple), z) + z
+            for z in (complex(x, y) for x, y in points)]
+    assert [complex(*v) for v in json.loads(out)["C"]] == want
+
+
 def test_levy_split_and_cumulants(capsys):
     payload = json.dumps({"a": 0.0, "b": 1.0,
                           "rho": {"atoms": [[0.5, 1.0], [3.0, 0.25]]}})

@@ -83,7 +83,7 @@ def test_gns_diagonal_tracial():
 def test_gns_matrix_block_modular_data():
     space = NcProbSpace([2], [np.diag([1 / 3, 2 / 3])], mode=sc.FLOAT)
     alg = gns_algebra(space)
-    alg.validate(tol=1e-9)
+    alg.validate()
     # Delta eta(e_12) = (rho_1/rho_2) eta(e_12) = (1/2) eta(e_12)
     e12 = alg.eta(space.element([[[0, 1], [0, 0]]]))
     out = sc.to_float_array(alg.delta) @ sc.to_float_array(e12)

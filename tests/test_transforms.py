@@ -296,6 +296,58 @@ def test_convolve_poisson_plus_poisson():
     assert all(abs(k - 2.0) < 1e-12 for k in ks)
 
 
+def _random_triple(rng):
+    n = int(rng.integers(1, 4))
+    locs = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    return tr.LevyTriple(
+        a=float(rng.normal()), b=float(rng.uniform(0.0, 1.0)),
+        rho=tr.Measure(atoms=[(float(t), float(w)) for t, w
+                              in zip(locs, rng.uniform(0.1, 1.5, n))]))
+
+
+def _triple_pairs():
+    """40 seeded triple pairs with two points each, Im z in {1, 3}."""
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        t1, t2 = _random_triple(rng), _random_triple(rng)
+        for y in (1.0, 3.0):
+            yield t1, t2, complex(rng.uniform(-3.0, 3.0), y)
+
+
+def test_cumulant_transform_adds_under_convolution():
+    """C(t1) + C(t2) = C(t1 + t2): G of t1 boxplus t2 is G of the summed
+    triple (a1 + a2, sqrt(b1^2 + b2^2), rho1 + rho2) boxplus delta_0."""
+    delta0 = tr.Measure(atoms=[(0.0, 1.0)])
+    for t1, t2, z in _triple_pairs():
+        summed = tr.LevyTriple(a=t1.a + t2.a, b=math.hypot(t1.b, t2.b),
+                               rho=tr.Measure(atoms=t1.rho.atoms
+                                              + t2.rho.atoms))
+        g = tr.free_convolve(t1, t2).cauchy(z)
+        want = tr.free_convolve(summed, delta0).cauchy(z)
+        assert abs(g - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason="FreeConvolution.cauchy seeds Newton "
+                   "at 1/z and can converge to a root off the physical "
+                   "branch when the mean is far from 0")
+def test_convolution_cauchy_stays_in_the_lower_half_plane():
+    for t1, t2, z in _triple_pairs():
+        assert tr.free_convolve(t1, t2).cauchy(z).imag < 0
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0])
+def test_free_poisson_triple_shift_density(lam):
+    shift = 0.7
+    lo, hi = tr.free_poisson_support(lam)
+    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 9)
+    conv = tr.free_convolve(tr.free_poisson_triple(lam),
+                            tr.Measure(atoms=[(shift, 1.0)]))
+    vals, fails = conv.density_on_grid(xs + shift)
+    assert not fails
+    ref = [tr.free_poisson_density(lam, x)[0] for x in xs]
+    assert np.max(np.abs(vals - ref)) < 1e-6
+
+
 def test_compound_poisson_transform_matches_fock_moments():
     # C_{Y(x)}(z) = phi(1/(1-zx) - 1) for a two-atom x, checked to order 6
     from fractions import Fraction as F
