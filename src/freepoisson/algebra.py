@@ -9,7 +9,7 @@ An algebra here is a coordinate space C^d with
     (i, r, c, x), x being entry (r, c) of pi_l(e_i); it may be degenerate,
     even identically zero (no constants at all),
   * optional unit vector, and optional modular data Delta (linear) and
-    J (antilinear, jmat @ conj(v)).
+    J (antilinear, jmat @ conj(v)); ``None`` when absent.
 
 Compatibility conditions (<xi eta, zeta> = <eta, (S xi) zeta>, S an
 anti-homomorphism with S^2 = 1, associativity) are checked by validate(),
@@ -20,8 +20,10 @@ dense left-multiplication matrices converts them with
 ``structure_constants``.  Every primitive (pi_l, pi_r, s_apply, multiply,
 inner, gram_row) reads only nonzeros: the constants, the entries of smat
 and the per-row nonzeros of the Gram (gram_rows), so a function algebra
-is built in O(d^2) and its primitives cost O(d).  ``lmul`` is a dense
-view derived on each read, for validate() and the Stinespring bimodule.
+is built in O(d^2) and its primitives cost O(d).  ``multiplication``
+returns the nonzeros of pi_l(v) or pi_r(v); pi_l and pi_r are their dense
+fill, and ``lmul`` a dense view derived on each read, for validate() and
+the Stinespring bimodule.
 """
 
 import numpy as np
@@ -31,6 +33,9 @@ from .errors import DomainError, ShapeError, ValidationError
 
 
 class PseudoHilbertAlgebra:
+
+    # modular data, when given; a subclass may derive them on first use
+    delta = jmat = None
 
     def __init__(self, gram, smat, structure, unit=None, delta=None,
                  jmat=None, mode=sc.FLOAT):
@@ -49,8 +54,10 @@ class PseudoHilbertAlgebra:
                 raise ShapeError("structure constant index out of range")
             self.structure[i].append((r, c, x))
         self.unit = None if unit is None else sc.array(unit, mode)
-        self.delta = None if delta is None else sc.array(delta, mode)
-        self.jmat = None if jmat is None else sc.array(jmat, mode)
+        if delta is not None:
+            self.delta = sc.array(delta, mode)
+        if jmat is not None:
+            self.jmat = sc.array(jmat, mode)
         self._s_nz = _nonzeros(self.smat)
         self.gram_rows = [[] for _ in range(self.dim)]
         for r, c, x in _nonzeros(self.gram):
@@ -88,18 +95,20 @@ class PseudoHilbertAlgebra:
         """Row vector w with w[i] = <v, e_i>."""
         out = sc.zeros(self.dim, self.mode)
         for j, x in enumerate(np.asarray(v).tolist()):
-            if x != 0:
-                cx = x.conjugate()
+            if x:
+                cx = x if self.mode == sc.EXACT else x.conjugate()
                 for i, g in self.gram_rows[j]:
                     out[i] += cx * g
         return out
 
     def s_apply(self, v):
-        vc = sc.conj(v)
+        v = np.asarray(v).tolist()
         out = sc.zeros(self.dim, self.mode)
         for r, c, x in self._s_nz:
-            if vc[c] != 0:
-                out[r] += x * vc[c]
+            if v[c]:
+                # conjugation is the identity on rationals
+                out[r] += x * (v[c] if self.mode == sc.EXACT
+                               else v[c].conjugate())
         return out
 
     def j_apply(self, v):
@@ -107,22 +116,35 @@ class PseudoHilbertAlgebra:
             return self.s_apply(v)
         return self.jmat @ sc.conj(v)
 
+    def multiplication(self, v, right=False):
+        """{(row, col): x} over the nonzero entries of pi_l(v), or of pi_r(v)
+        when ``right``, read from the structure constants."""
+        v = np.asarray(v).tolist()
+        out = {}
+        for i, entries in enumerate(self.structure):
+            if right:
+                for r, c, x in entries:
+                    if v[c]:
+                        rc, p = (r, i), x * v[c]
+                        out[rc] = out[rc] + p if rc in out else p
+            elif v[i]:
+                for r, c, x in entries:
+                    rc, p = (r, c), v[i] * x
+                    out[rc] = out[rc] + p if rc in out else p
+        return {rc: x for rc, x in out.items() if x}
+
     def pi_l(self, v):
         """Matrix of left multiplication by the vector v."""
-        out = sc.zeros((self.dim, self.dim), self.mode)
-        for i, entries in enumerate(self.structure):
-            if v[i] != 0:
-                for r, c, x in entries:
-                    out[r, c] += v[i] * x
-        return out
+        return self._dense(self.multiplication(v))
 
     def pi_r(self, v):
         """Matrix of right multiplication by the vector v."""
+        return self._dense(self.multiplication(v, right=True))
+
+    def _dense(self, entries):
         out = sc.zeros((self.dim, self.dim), self.mode)
-        for i, entries in enumerate(self.structure):
-            for r, c, x in entries:
-                if v[c] != 0:
-                    out[r, i] += x * v[c]
+        for rc, x in entries.items():
+            out[rc] = x
         return out
 
     def multiply(self, u, v):

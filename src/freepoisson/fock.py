@@ -5,31 +5,48 @@ graded modular maps, right fields, and the finite-weight Wick embedding.
 
 ``GnsAlgebra`` is the one construction of L^2(M, phi) for a block-diagonal
 space: matrix-unit basis, Gram, S, left multiplication, unit, Delta and J,
-each built per block in closed form.  ``quantize.L2Space`` is its
+each built per block in closed form, Delta and J on first use.
+``quantize.L2Space`` is its
 orthonormal transport.  The truncation L is capped at ``MAX_TRUNCATION``
 before the per-degree bookkeeping is built.
 
 Vectors are stored sparsely as {index-tuple: coefficient}; a tuple of
 length k addresses the elementary tensor e_{i1} x ... x e_{ik} in degree k.
+An exact vector holds integer numerators over one denominator, in lowest
+terms; ``FockVector.entries`` forms its ``Fraction`` values on read, and
+every exact result equals, bit for bit, what ``Fraction`` arithmetic
+gives.  Float vectors hold their coefficients over 1.
+
 Operators are formal sums of words in the six elementary letters (left and
 right creation / annihilation / gauge); ``_letter_leg`` decodes each into
 the leg matrix it applies.  The letter interpreter serves vector
-application and exact comparison: it is exact in rational mode and
-detects overflow past the truncation letter by letter ("strict" mode) or
-projects it away ("projective" mode).  ``FockOperator.is_close`` compares
-exact operators column by column, applying both to each basis vector it
-needs; no exact matrix is ever built.  Float matrices and norms are built
-from sparse letter blocks instead: each letter is one CSR matrix on the
-truncated space (kron(leg, I) per degree), a word is their product, and
+application and exact comparison.  An operator decodes each distinct
+letter once, from its nonzeros (``_decode``): integer leg columns over D,
+the lcm of the leg's nonzero denominators.  A field's gauge letter reads
+pi_l(xi) from the structure constants, with no dense matrix, and an
+annihilation letter computes its Gram row once.  ``FockOperator.apply``
+runs each word on numerators, sums the terms' images over the lcm of
+their denominators and divides by the gcd once per call; float vectors
+run the same loop over denominator 1.  Overflow past the truncation is
+detected letter by letter ("strict" mode) or projected away ("projective"
+mode).  ``FockOperator.is_close`` compares exact operators column by
+column, applying both to each basis vector it needs; no exact matrix is
+ever built.  Float matrices and norms are built from sparse letter blocks
+instead: each letter is one CSR matrix on the truncated space
+(kron(leg, I) per degree), a word is their product, and
 ``FockOperator.sparse`` sums the words.  ``FockOperator.norm`` never
 densifies: it takes the top singular value of the Gram-twisted CSR with
 ARPACK, under a budget on the nonzeros it builds.  Second quantization
 compiles its words from the same blocks.  The Fock inner product and the
 graded modular maps expand each entry leg by leg through one helper,
-``_legwise``.  scipy.sparse and scipy.sparse.linalg are imported inside
-these functions only, so exact work never loads them.
+``_legwise``, on integer Gram rows or leg columns over their lcm D (a
+degree-k entry carries D^k).  scipy.sparse and scipy.sparse.linalg are
+imported inside these functions only, so exact work never loads them.
 """
 
+import math
+from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -79,45 +96,51 @@ class GnsAlgebra(PseudoHilbertAlgebra):
         dims = space.block_dims
         self.units = [(b, i, j) for b, d in enumerate(dims)
                       for i in range(d) for j in range(d)]
-        dim = len(self.units)
-        offsets = np.cumsum([0] + [d * d for d in dims]).tolist()
-        swaps = [np.arange(d * d).reshape(d, d).T.ravel() for d in dims]
+        self._offsets = np.cumsum([0] + [d * d for d in dims]).tolist()
+        self._swaps = [np.arange(d * d).reshape(d, d).T.ravel() for d in dims]
         eyes = [sc.eye(d, mode) for d in dims]
-
-        def blockdiag(blocks):
-            out = sc.zeros((dim, dim), mode)
-            for o, m in zip(offsets, blocks):
-                out[o:o + len(m), o:o + len(m)] = m
-            return out
-
-        def kron(a, b):
-            # np.kron of two d x d blocks; np.kron's own per-call overhead
-            # is most of the construction time at these sizes
-            d = len(a)
-            return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-                d * d, d * d)
-
         # pi_l(e_ij) maps e_jk to e_ik
         one = sc.scalar_one(mode)
         structure = [(o + i * d + j, o + i * d + k, o + j * d + k, one)
-                     for d, o in zip(dims, offsets)
+                     for d, o in zip(dims, self._offsets)
                      for i, j, k in product(range(d), repeat=3)]
-        smat = blockdiag([sc.eye(d * d, mode)[:, s]
-                          for d, s in zip(dims, swaps)])
-        if mode == sc.EXACT:
-            delta, jmat = sc.eye(dim, mode), smat
-        else:
-            powers = space.density_powers()
-            delta = blockdiag([kron(rho, rinv.T) for rho, (_, _, rinv)
-                               in zip(space.density, powers)])
-            jmat = blockdiag([kron(rh, rhi.T)[:, s]
-                              for (rh, rhi, _), s in zip(powers, swaps)])
         super().__init__(
-            gram=blockdiag([kron(e, rho.T)
-                            for e, rho in zip(eyes, space.density)]),
-            smat=smat, structure=structure,
-            unit=np.concatenate([e.ravel() for e in eyes]),
-            delta=delta, jmat=jmat, mode=mode)
+            gram=self._blockdiag([_kron(e, rho.T)
+                                  for e, rho in zip(eyes, space.density)],
+                                 mode),
+            smat=self._blockdiag([sc.eye(d * d, mode)[:, s]
+                                  for d, s in zip(dims, self._swaps)], mode),
+            structure=structure,
+            unit=np.concatenate([e.ravel() for e in eyes]), mode=mode)
+
+    def _blockdiag(self, blocks, mode):
+        dim = self._offsets[-1]
+        out = sc.zeros((dim, dim), mode)
+        for o, m in zip(self._offsets, blocks):
+            out[o:o + len(m), o:o + len(m)] = m
+        return out
+
+    # Delta and J are built on first use: most callers of a float space
+    # need only the Gram, and each needs one eigh per block
+
+    @cached_property
+    def _powers(self):
+        return self.space.density_powers()
+
+    @cached_property
+    def delta(self):
+        if self.mode == sc.EXACT:
+            return sc.eye(self.dim, self.mode)
+        return self._blockdiag([_kron(rho, rinv.T) for rho, (_, _, rinv)
+                                in zip(self.space.density, self._powers)],
+                               self.mode)
+
+    @cached_property
+    def jmat(self):
+        if self.mode == sc.EXACT:
+            return self.smat.copy()
+        return self._blockdiag([_kron(rh, rhi.T)[:, s] for (rh, rhi, _), s
+                                in zip(self._powers, self._swaps)], self.mode)
 
     def eta(self, x):
         """Coordinates of the element x in the matrix-unit basis."""
@@ -133,6 +156,13 @@ class GnsAlgebra(PseudoHilbertAlgebra):
 
     def phi(self, x):
         return self.space.phi(x)
+
+
+def _kron(a, b):
+    # np.kron of two d x d blocks; np.kron's own per-call overhead is most
+    # of the construction time at these sizes
+    d = len(a)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
 
 
 def gns_algebra(space):
@@ -162,6 +192,7 @@ class FockSpace:
         for d in self.degree_dims[:-1]:
             self.offsets.append(self.offsets[-1] + d)
         self._gram_half = None
+        self._gram_rows = None
 
     def check_dense_cap(self):
         """Dense matrices are capped; sparse vector work and norm() are not.
@@ -192,24 +223,37 @@ class FockSpace:
         """Elementary tensor xi_1 x ... x xi_k from coordinate vectors."""
         if len(legs) > self.L:
             raise TruncationError("tensor degree %d > L=%d" % (len(legs), self.L))
-        ent = {(): sc.scalar_one(self.mode)}
+        vec = self.vacuum()
         for leg in reversed(legs):
-            ent = _apply_letter(self, ("c", leg), ent, STRICT)
-        return FockVector(self, ent)
+            vec = creation(self, leg).apply(vec)
+        return vec
 
     def inner(self, u, v):
         """Fock inner product of two sparse vectors.
 
         Each entry of u is expanded through the nonzeros of the Gram rows
         of its legs and looked up in v: a dict join for a diagonal Gram.
+        Exact Gram rows are integers over their lcm D; a degree-k entry
+        carries D^k, so it is raised by D^(L-k) to the common D^L.
         """
-        rows = self.alg.gram_rows
-        total = sc.scalar_zero(self.mode)
-        for idx, cu in u.entries.items():
-            for jdx, c in _legwise(idx, np.conjugate(cu), rows).items():
-                cv = v.entries.get(jdx)
+        if self._gram_rows is None:
+            # column a of the transposed Gram lists the nonzeros of row a
+            rows, den, _, _, _ = _decode(self, ("g", np.asarray(self.gram).T))
+            self._gram_rows = rows, den
+        rows, den = self._gram_rows
+        raise_to = [den ** (self.L - k) for k in range(self.L + 1)]
+        exact = self.mode == sc.EXACT
+        total = 0 if exact else 0j
+        vn = v._num
+        for idx, cu in u._num.items():
+            s = raise_to[len(idx)]
+            c = cu.conjugate() if s == 1 else cu.conjugate() * s
+            for jdx, x in _legwise(idx, c, rows).items():
+                cv = vn.get(jdx)
                 if cv is not None:
-                    total = total + c * cv
+                    total = total + x * cv
+        if exact:
+            return Fraction(total, u._den * v._den * den ** self.L)
         return total
 
     def gram_half(self):
@@ -274,31 +318,76 @@ def kron_powers(leg, L):
                          shape=(ro, co))
 
 
+def _numerators(values, mode):
+    """(numerators, D): exact values as integers over D, the lcm of their
+    denominators; float values as they are, over D = 1."""
+    if mode != sc.EXACT:
+        return values, 1
+    fracs = [sc.as_fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
+
+
 class FockVector:
-    """Sparse graded vector: {index tuple -> coefficient}."""
+    """Sparse graded vector: {index tuple -> coefficient}.
+
+    Stored as numerators over one denominator: an exact vector holds the
+    integers ``_num[idx]`` over the positive integer ``_den``, in lowest
+    terms; a float vector holds its coefficients over 1.  ``entries`` is
+    the {index tuple: coefficient} mapping, with ``Fraction`` values in
+    exact mode, formed on first read; treat it as read-only.
+    """
 
     def __init__(self, fock, entries=None):
-        self.fock = fock
-        self.entries = {} if entries is None else dict(entries)
+        entries = {} if entries is None else entries
+        nums, den = _numerators(list(entries.values()), fock.mode)
+        self._set(fock, dict(zip(entries, nums)), den)
+
+    @classmethod
+    def _of(cls, fock, num, den):
+        """The vector num / den; exact ones are divided by their gcd."""
+        vec = cls.__new__(cls)
+        vec._set(fock, num, den)
+        return vec
+
+    def _set(self, fock, num, den):
+        if fock.mode == sc.EXACT:
+            g = math.gcd(den, *num.values())
+            if g > 1:
+                num, den = {k: v // g for k, v in num.items()}, den // g
+        self.fock, self._num, self._den, self._entries = fock, num, den, None
+
+    @property
+    def entries(self):
+        if self.fock.mode != sc.EXACT:
+            return self._num
+        if self._entries is None:
+            self._entries = {k: Fraction(v, self._den)
+                             for k, v in self._num.items()}
+        return self._entries
+
+    def _combine(self, other, sign):
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = dict(self._num) if a == 1 else {k: v * a for k, v in
+                                              self._num.items()}
+        for k, v in other._num.items():
+            out[k] = out.get(k, 0) + b * v
+        return FockVector._of(self.fock, out, den)
 
     def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return FockVector(self.fock, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return FockVector(self.fock, out)
+        return self._combine(other, -1)
 
     def scale(self, c):
-        return FockVector(self.fock, {k: c * v for k, v in self.entries.items()})
-
-    def prune(self):
-        return FockVector(self.fock, {k: v for k, v in self.entries.items()
-                                      if v != 0})
+        den = 1
+        if self.fock.mode == sc.EXACT:
+            c = sc.as_fraction(c)
+            c, den = c.numerator, c.denominator
+        return FockVector._of(self.fock, {k: c * v for k, v in
+                                          self._num.items()}, self._den * den)
 
     def inner(self, other):
         return self.fock.inner(self, other)
@@ -307,7 +396,10 @@ class FockVector:
         return float(abs(self.inner(self))) ** 0.5
 
     def vacuum_coefficient(self):
-        return self.entries.get((), sc.scalar_zero(self.fock.mode))
+        c = self._num.get(())
+        if c is None:
+            return sc.scalar_zero(self.fock.mode)
+        return Fraction(c, self._den) if self.fock.mode == sc.EXACT else c
 
     def dense(self):
         out = sc.zeros(self.fock.total_dim, self.fock.mode)
@@ -318,11 +410,30 @@ class FockVector:
     def is_close(self, other, tol=1e-10):
         diff = self - other
         if self.fock.mode == sc.EXACT:
-            return all(v == 0 for v in diff.entries.values())
-        return all(abs(v) <= tol for v in diff.entries.values())
+            return all(v == 0 for v in diff._num.values())
+        return all(abs(v) <= tol for v in diff._num.values())
 
 
 # -- elementary letters ----------------------------------------------------
+
+class _Multiplier:
+    """Gauge payload pi_l(v), or pi_r(v) when ``right``, held as v.
+
+    The interpreter reads its nonzeros from the algebra's structure
+    constants; numpy sees the dense matrix (``np.asarray``), which the
+    float letter blocks and the gauge adjoint use.
+    """
+
+    def __init__(self, alg, v, right=False):
+        self.alg, self.v, self.right = alg, v, right
+
+    def nonzeros(self):
+        return sorted(self.alg.multiplication(self.v, self.right).items())
+
+    def __array__(self, dtype=None, copy=None):
+        m = (self.alg.pi_r if self.right else self.alg.pi_l)(self.v)
+        return m if dtype is None else m.astype(dtype)
+
 
 def _letter_leg(fock, letter):
     """(leg, up, down, left): a letter takes ``down`` legs (0 or 1) off the
@@ -341,15 +452,37 @@ def _letter_leg(fock, letter):
     return leg, up, down, kind in ("c", "a", "g")
 
 
-def _apply_letter(fock, letter, entries, mode_trunc):
-    """One letter on a sparse {index tuple: coefficient} dict.
+def _decode(fock, letter):
+    """(cols, den, up, down, left): a letter as the interpreter runs it.
 
-    An entry whose image would pass degree L raises OverflowError_ in
-    strict mode, whatever the payload, and is dropped in projective mode.
-    Each leg column is read once, when an entry first needs it.
+    ``cols[j]`` lists the (b, x) nonzeros of column j of the letter's leg
+    (see _letter_leg), rows ascending; exact x are integers over the
+    letter's ``den``, the lcm of the leg's nonzero denominators, and float
+    ones are kept over 1.  A multiplication payload's nonzeros are read
+    from the structure constants, any other leg's from its matrix.
     """
     leg, up, down, left = _letter_leg(fock, letter)
-    columns, nonzeros, out = leg.T.tolist(), {}, {}
+    if isinstance(leg, _Multiplier):
+        nz = leg.nonzeros()
+    else:
+        nz = [((r, c), x) for r, row in enumerate(np.asarray(leg).tolist())
+              for c, x in enumerate(row) if x]
+    xs, den = _numerators([x for _, x in nz], fock.mode)
+    cols = [[] for _ in range(fock.dim if down else 1)]
+    for ((b, j), _), x in zip(nz, xs):
+        cols[j].append((b, x))
+    return cols, den, up, down, left
+
+
+def _apply_letter(fock, letter, entries, mode_trunc):
+    """One decoded letter on the numerators {index tuple: coefficient}.
+
+    The image is over the input's denominator times the letter's.  An
+    entry whose image would pass degree L raises OverflowError_ in strict
+    mode, whatever the payload, and is dropped in projective mode.
+    """
+    cols, _, up, down, left = letter
+    out = {}
     for idx, c in entries.items():
         k = len(idx)
         if k < down:
@@ -359,16 +492,12 @@ def _apply_letter(fock, letter, entries, mode_trunc):
                 raise OverflowError_(
                     "creation past degree %d in strict mode" % fock.L)
             continue
-        j = (idx[0] if left else idx[-1]) if down else 0
-        col = nonzeros.get(j)
-        if col is None:
-            col = nonzeros[j] = [(b, x) for b, x in enumerate(columns[j])
-                                 if x != 0]
+        col = cols[(idx[0] if left else idx[-1]) if down else 0]
         rest = idx[down:] if left else idx[:k - down]
         for b, x in col:
             key = ((b,) + rest if left else rest + (b,)) if up else rest
             val = x * c
-            if val != 0:
+            if val:
                 out[key] = out.get(key, 0) + val
     return out
 
@@ -447,6 +576,7 @@ class FockOperator:
         self.fock = fock
         self.terms = [(c, tuple(ls)) for c, ls in terms]
         self.mode = mode
+        self._letters = {}      # (kind, id(payload)) -> _decode(letter)
 
     # algebra of operators
     def __add__(self, other):
@@ -487,7 +617,9 @@ class FockOperator:
         return other
 
     def with_mode(self, mode):
-        return FockOperator(self.fock, self.terms, mode)
+        op = FockOperator(self.fock, self.terms, mode)
+        op._letters = self._letters
+        return op
 
     def adjoint(self):
         terms = []
@@ -500,18 +632,35 @@ class FockOperator:
     def apply(self, vec):
         if vec.fock is not self.fock:
             raise ShapeError("vector lives on a different Fock space")
-        out = {}
+        exact = self.fock.mode == sc.EXACT
+        images, den = [], 1
         for c, letters in self.terms:
-            ent = vec.entries
+            ent, d = vec._num, vec._den
             for letter in reversed(letters):
-                ent = _apply_letter(self.fock, letter, ent, self.mode)
+                key = (letter[0], id(letter[1]))
+                dec = self._letters.get(key)
+                if dec is None:
+                    dec = self._letters[key] = _decode(self.fock, letter)
+                ent = _apply_letter(self.fock, dec, ent, self.mode)
+                d *= dec[1]
                 if not ent:
                     break
+            if ent:
+                if exact:
+                    c = sc.as_fraction(c)
+                    c, d = c.numerator, d * c.denominator
+                images.append((c, ent, d))
+                den = math.lcm(den, d)
+        # each term's image over the lcm of the terms' denominators
+        out = {}
+        for c, ent, d in images:
+            m = c if d == den else c * (den // d)
             for k, v in ent.items():
-                val = c * v
-                if val != 0:
+                val = m * v
+                if val:
                     out[k] = out.get(k, 0) + val
-        return FockVector(self.fock, out).prune()
+        return FockVector._of(self.fock, {k: v for k, v in out.items() if v},
+                              den)
 
     def sparse(self):
         """Sum of c * (L_1 @ ... @ L_n) over the terms, as CSR.
@@ -626,11 +775,10 @@ class FockOperator:
         top = f.L if max_input_degree is None else max_input_degree
         if f.mode == sc.EXACT:
             a, b = self.with_mode(PROJECTIVE), other.with_mode(PROJECTIVE)
-            one = sc.scalar_one(f.mode)
             for idx in f.basis_tuples():
                 if len(idx) > top:
                     break
-                e = FockVector(f, {idx: one})
+                e = FockVector._of(f, {idx: 1}, 1)
                 if not a.apply(e).is_close(b.apply(e)):
                     return False
             return True
@@ -665,7 +813,7 @@ def field_X(fock, xi, mode=STRICT):
     return FockOperator(fock, [
         (one, (("c", xi),)),
         (one, (("a", alg.s_apply(xi)),)),
-        (one, (("g", alg.pi_l(xi)),)),
+        (one, (("g", _Multiplier(alg, xi)),)),
     ], mode)
 
 
@@ -726,7 +874,7 @@ def wick(fock, legs, mode=STRICT):
     legs = [alg.vector(x) if not isinstance(x, np.ndarray) else x for x in legs]
     one = sc.scalar_one(fock.mode)
     words = wick_words(legs, [alg.s_apply(x) for x in legs],
-                       [alg.pi_l(x) for x in legs])
+                       [_Multiplier(alg, x) for x in legs])
     return FockOperator(fock, [(one, w) for w in words], mode)
 
 
@@ -780,18 +928,24 @@ class GradedMap:
         self.antilinear = antilinear
 
     def apply(self, vec):
+        """Exact legs are integers over their lcm D; a degree-k entry
+        carries D^k and is raised by D^(L-k) to the common D^L."""
+        f = self.fock
+        cols, den, _, _, _ = _decode(f, ("g", self.leg_matrix))
+        raise_to = [den ** (f.L - k) for k in range(f.L + 1)]
         out = {}
-        t = self.leg_matrix
-        cols = [[(b, t[b, a]) for b in range(self.fock.dim) if t[b, a] != 0]
-                for a in range(self.fock.dim)]
-        for idx, c in vec.entries.items():
+        for idx, c in vec._num.items():
             if self.antilinear:
-                c = np.conjugate(c)
+                c = c.conjugate()
+            s = raise_to[len(idx)]
+            if s != 1:
+                c = c * s
             src = idx[::-1] if self.reverse else idx
             for key, v in _legwise(src, c, cols).items():
-                if v != 0:
+                if v:
                     out[key] = out.get(key, 0) + v
-        return FockVector(self.fock, out).prune()
+        return FockVector._of(f, {k: v for k, v in out.items() if v},
+                              vec._den * den ** f.L)
 
 
 def modular_ops(fock):
@@ -825,7 +979,7 @@ def right_field(fock, eta, mode=STRICT):
     return FockOperator(fock, [
         (one, (("cr", eta),)),
         (one, (("ar", alg.s_apply(eta)),)),
-        (one, (("gr", alg.pi_r(eta)),)),
+        (one, (("gr", _Multiplier(alg, eta, right=True)),)),
     ], mode)
 
 

@@ -15,6 +15,11 @@ block oracle builds through COO and lets scipy sort, where the library
 writes canonical CSR directly.  The second quantization oracle compiles
 the Wick words on the Fock space over the whole dilation space and
 compresses the operator, where the library compresses each leg.  The
+reference interpreter runs Fock vectors as plain {index tuple:
+coefficient} dicts of ``Fraction`` (or complex) values and reads each
+letter's dense leg on every application, where the library holds exact
+vectors as integer numerators over one denominator and decodes each
+letter once per operator from its nonzeros.  The
 modular oracle applies Delta and J to one matrix unit at a time, where the
 library uses their closed Kronecker forms per block.  The first-block
 oracles run the library's recursion on the table's own scalars, with the
@@ -26,6 +31,7 @@ import numpy as np
 
 from freepoisson import _scalars as sc
 from freepoisson.algebra import trivial_algebra
+from freepoisson.errors import DomainError, OverflowError_, TruncationError
 from freepoisson.fock import (PROJECTIVE, STRICT, FockOperator, FockSpace,
                               FockVector, field_X, identity, kron_powers,
                               wick_words)
@@ -301,6 +307,124 @@ def interpreted_matrix(op):
         for key, v in col.entries.items():
             m[f.index(key), f.index(idx)] = v
     return m
+
+
+# -- reference letter interpreter ---------------------------------------------
+
+def _ref_leg(fock, letter):
+    """(dense leg, up, down, left) of a letter, as the library defines it."""
+    kind, payload = letter
+    if kind in ("c", "cr"):
+        leg, up, down = np.asarray(payload).reshape(-1, 1), 1, 0
+    elif kind in ("a", "ar"):
+        leg = dense_gram_row(fock.alg, np.asarray(payload)).reshape(1, -1)
+        up, down = 0, 1
+    elif kind in ("g", "gr"):
+        leg, up, down = np.asarray(payload), 1, 1
+    else:
+        raise DomainError("unknown letter kind %r" % kind)
+    return leg, up, down, kind in ("c", "a", "g")
+
+
+def ref_apply_letter(fock, letter, entries, mode_trunc):
+    """One letter on a {index tuple: coefficient} dict."""
+    leg, up, down, left = _ref_leg(fock, letter)
+    out = {}
+    for idx, c in entries.items():
+        k = len(idx)
+        if k < down:
+            continue
+        if k + up - down > fock.L:
+            if mode_trunc == STRICT:
+                raise OverflowError_("creation past degree %d" % fock.L)
+            continue
+        j = (idx[0] if left else idx[-1]) if down else 0
+        rest = idx[down:] if left else idx[:k - down]
+        for b in range(leg.shape[0]):
+            x = leg[b, j]
+            if x == 0:
+                continue
+            key = ((b,) + rest if left else rest + (b,)) if up else rest
+            val = x * c
+            if val != 0:
+                out[key] = out.get(key, 0) + val
+    return out
+
+
+def ref_apply(op, entries):
+    """FockOperator.apply on a dict: each word right to left, stopping at
+    an empty intermediate dict, then the scaled images summed."""
+    out = {}
+    for c, letters in op.terms:
+        ent = entries
+        for letter in reversed(letters):
+            ent = ref_apply_letter(op.fock, letter, ent, op.mode)
+            if not ent:
+                break
+        for k, v in ent.items():
+            val = c * v
+            if val != 0:
+                out[k] = out.get(k, 0) + val
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_vector_from_tensor(fock, legs):
+    if len(legs) > fock.L:
+        raise TruncationError("tensor degree %d > L=%d" % (len(legs), fock.L))
+    ent = {(): sc.scalar_one(fock.mode)}
+    for leg in reversed(legs):
+        ent = ref_apply_letter(fock, ("c", leg), ent, STRICT)
+    return ent
+
+
+def _ref_legwise(idx, c, mat):
+    """{jdx: c * mat[j1, i1] ... mat[jk, ik]} over nonzero products."""
+    partial = {(): c}
+    for a in idx:
+        partial = {key + (b,): v * mat[b, a] for key, v in partial.items()
+                   for b in range(mat.shape[0]) if mat[b, a] != 0}
+    return partial
+
+
+def ref_inner(fock, u, v):
+    """sum conj(u[i]) G[i1, j1] ... G[ik, jk] v[j] over the dicts."""
+    total = sc.scalar_zero(fock.mode)
+    gram_t = np.asarray(fock.gram).T
+    for idx, cu in u.items():
+        for jdx, c in _ref_legwise(idx, np.conjugate(cu), gram_t).items():
+            cv = v.get(jdx)
+            if cv is not None:
+                total = total + c * cv
+    return total
+
+
+def ref_graded_apply(gmap, entries):
+    """GradedMap.apply on a dict."""
+    out = {}
+    t = np.asarray(gmap.leg_matrix)
+    for idx, c in entries.items():
+        if gmap.antilinear:
+            c = np.conjugate(c)
+        src = idx[::-1] if gmap.reverse else idx
+        for key, v in _ref_legwise(src, c, t).items():
+            if v != 0:
+                out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_is_close(a, b, max_input_degree=None):
+    """Exact is_close: both operators projective on each basis vector up
+    to the input degree, the images equal."""
+    f = a.fock
+    top = f.L if max_input_degree is None else max_input_degree
+    pa, pb = a.with_mode(PROJECTIVE), b.with_mode(PROJECTIVE)
+    for idx in f.basis_tuples():
+        if len(idx) > top:
+            break
+        e = {idx: sc.scalar_one(f.mode)}
+        if ref_apply(pa, e) != ref_apply(pb, e):
+            return False
+    return True
 
 
 def coo_letter_matrix(fock, letter):

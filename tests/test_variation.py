@@ -81,6 +81,17 @@ def test_dual_path_agreement_small():
             assert abs(direct ** 2 - float(nc)) < 1e-12, (atoms, b, k, n)
 
 
+@pytest.mark.parametrize("k, n, want", [
+    (2, 16, F(1, 16)), (3, 16, F(69, 256)), (3, 32, F(133, 1024)),
+    (3, 64, F(261, 4096))])
+def test_error_squared_pinned_values(k, n, want):
+    # criterion 11's experiment, pinned at the values the Fraction
+    # interpreter gave
+    exp = VariationExperiment(atoms=[(1, 1)], b=0, t=1, k=k, n_list=(n,))
+    got = variation_error_squared(exp, n)
+    assert type(got) is F and got == want
+
+
 def test_gaussian_k2_error_closed_form():
     # || X(xi)^2 - b^2 t ||_{L2} = b^2 t / sqrt(N): the degree-0 part
     # cancels at every N, the degree-2 part carries 1/sqrt(N)
