@@ -428,8 +428,12 @@ def run(argv):
         sys.stderr.write(json.dumps({"code": "io", "message": str(exc)})
                          + "\n")
         return 3
-    except (KeyError, ValueError, TypeError) as exc:
-        # JSONDecodeError is a ValueError; so are non-numeric entries
+    except (LookupError, ArithmeticError, AttributeError, ValueError,
+            TypeError) as exc:
+        # JSONDecodeError is a ValueError; so are non-numeric entries.  A
+        # missing key or a short list is a LookupError, a zero denominator
+        # an ArithmeticError, and a list where an object belongs an
+        # AttributeError
         sys.stderr.write(json.dumps({"code": "validation",
                                      "message": "bad input: %s" % exc})
                          + "\n")

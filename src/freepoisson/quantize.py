@@ -120,6 +120,7 @@ class L2Space:
             gram=np.eye(self.dim), smat=self.smat_onb(),
             structure=structure_constants(lmul, self.dim, sc.FLOAT),
             unit=self.chol.conj().T @ self._alg.unit,
+            delta=self.linear_map_onb(self._alg.delta),
             jmat=self.jmat_onb(), mode=sc.FLOAT)
 
 

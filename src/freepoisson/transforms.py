@@ -150,29 +150,12 @@ def _edge_sqrt(w, half_width):
     return np.sqrt(w - half_width) * np.sqrt(w + half_width)
 
 
-def _cauchy_closed_form(tag, z):
-    z = complex(z)
-    if tag[0] == "free_poisson":
-        lam = tag[1]
-        w = z - (lam + 1)
-        s = _edge_sqrt(w, 2 * math.sqrt(lam))
-        g = (z + 1 - lam - s) / (2 * z)
-        # the closed form carries the atom of MP_lam at 0 already for lam<1
-        return g
-    if tag[0] == "semicircle":
-        a, b = tag[1], tag[2]
-        w = z - a
-        return (w - _edge_sqrt(w, 2 * b)) / (2 * b * b)
-    raise DomainError("unknown density tag %r" % (tag,))
-
-
-def cauchy_transform(measure, z, quadrature=False):
+def cauchy_transform(measure, z):
     """G(z) = integral of 1/(z - t) against the measure.
 
     Atoms are summed exactly; closed-form densities use their explicit
-    Herglotz form unless ``quadrature`` forces adaptive integration.
-    Real z inside a density's support returns the boundary value from
-    above (principal value minus i pi f(x)).
+    Herglotz form.  Real z inside a density's support returns the boundary
+    value from above (principal value minus i pi f(x)).
     """
     z = complex(z)
     total = 0j
@@ -181,24 +164,7 @@ def cauchy_transform(measure, z, quadrature=False):
             raise DomainError("evaluation at an atom", witness=float(t))
         total += w / (z - t)
     if measure.density is not None:
-        if not quadrature:
-            total += _density_g(measure, z)
-        else:
-            tol = 1e-9
-            f, (lo, hi) = density_function(measure.density)
-            x, y = z.real, z.imag
-            if y == 0 and lo < x < hi:
-                pv = integrate.quad(f, lo, hi, weight="cauchy", wvar=x,
-                                    epsabs=tol, epsrel=tol, limit=200)[0]
-                total += -pv - 1j * math.pi * f(x)
-            else:
-                re = integrate.quad(lambda t: (x - t) * f(t) /
-                                    ((x - t) ** 2 + y * y), lo, hi,
-                                    epsabs=tol, epsrel=tol, limit=200)[0]
-                im = integrate.quad(lambda t: -y * f(t) /
-                                    ((x - t) ** 2 + y * y), lo, hi,
-                                    epsabs=tol, epsrel=tol, limit=200)[0]
-                total += re + 1j * im
+        total += _density_g(measure.density, z)
     return total
 
 
@@ -209,23 +175,25 @@ def _cauchy_derivative(measure, z):
         total += -w / (z - t) ** 2
     if measure.density is not None:
         h = 1e-6 * max(1.0, abs(z))
-        total += (_density_g(measure, z + h) - _density_g(measure, z - h)) \
-            / (2 * h)
+        total += (_density_g(measure.density, z + h)
+                  - _density_g(measure.density, z - h)) / (2 * h)
     return total
 
 
-def _density_g(measure, z):
-    """Closed-form Cauchy transform of the density alone (the free
-    Poisson form's atom at 0 is subtracted: the Measure lists it)."""
-    if measure.density is None:
-        return 0j
-    if measure.density[0] == "free_poisson":
-        lam = measure.density[1]
-        g = _cauchy_closed_form(measure.density, z)
+def _density_g(tag, z):
+    """Herglotz closed form of a tagged density's Cauchy transform at a
+    complex z.  The free Poisson form carries the atom of MP_lam at 0 for
+    lam < 1; it is subtracted, since the Measure lists that atom."""
+    if tag[0] == "free_poisson":
+        lam = tag[1]
+        s = _edge_sqrt(z - (lam + 1), 2 * math.sqrt(lam))
+        g = (z + 1 - lam - s) / (2 * z)
         if lam < 1:
-            g -= max(1 - lam, 0.0) / z
+            g -= (1 - lam) / z
         return g
-    return _cauchy_closed_form(measure.density, z)
+    a, b = tag[1], tag[2]
+    w = z - a
+    return (w - _edge_sqrt(w, 2 * b)) / (2 * b * b)
 
 
 def _newton_invert(g, gprime, target, seed):
@@ -431,61 +399,40 @@ def recover_triple_from_cumulants(kappas):
 
 # -- free additive convolution ----------------------------------------------
 
-def closed_form_c(measure):
-    """(C, C') in closed form for the standard laws, else None.
+def _transform_of(part):
+    """(C, C', mean) of a measure or a Levy triple.
 
-    Covers a unit point mass, the full free Poisson law (continuous part
-    plus its zero atom), and a pure semicircle; mixtures fall back to the
-    Newton-inverted transform.
+    Triples use the Levy-Khintchine formula.  A unit point mass, the full
+    free Poisson law (continuous part plus its zero atom) and a pure
+    semicircle have C in closed form; every other measure inverts its
+    Cauchy transform by Newton, with C' by a central difference.
     """
-    if measure.density is None and len(measure.atoms) == 1:
-        (a, w), = measure.atoms
-        if abs(w - 1.0) < 1e-14:
-            return (lambda z: a * z), (lambda z: complex(a))
-        return None
-    if measure.density is not None and measure.density[0] == "free_poisson":
-        lam = measure.density[1]
-        expected_atom = [(0.0, 1.0 - lam)] if lam < 1 else []
-        if sorted(measure.atoms) == sorted(expected_atom):
-            return (lambda z: lam * z / (1 - z)), \
-                   (lambda z: lam / (1 - z) ** 2)
-        return None
-    if measure.density is not None and measure.density[0] == "semicircle" \
-            and not measure.atoms:
-        a, b = measure.density[1], measure.density[2]
-        return (lambda z: a * z + b * b * z * z), \
-               (lambda z: a + 2 * b * b * z)
-    return None
+    if isinstance(part, LevyTriple):
+        return (lambda z: levy_khintchine_C(part, z),
+                lambda z: levy_khintchine_C_prime(part, z),
+                cumulants_from_triple(part, 1)[0])
+    mean = part.mean()
+    atoms, tag = part.atoms, part.density
+    if tag is None and len(atoms) == 1 and abs(atoms[0][1] - 1.0) < 1e-14:
+        a = atoms[0][0]
+        return (lambda z: a * z), (lambda z: complex(a)), mean
+    if tag is not None and tag[0] == "free_poisson":
+        lam = tag[1]
+        if sorted(atoms) == ([(0.0, 1.0 - lam)] if lam < 1 else []):
+            return (lambda z: lam * z / (1 - z),
+                    lambda z: lam / (1 - z) ** 2, mean)
+    if tag is not None and tag[0] == "semicircle" and not atoms:
+        a, b = tag[1], tag[2]
+        return (lambda z: a * z + b * b * z * z,
+                lambda z: a + 2 * b * b * z, mean)
 
+    def c(z):
+        return cumulant_transform(part, z)
 
-class _CProvider:
-    """Uniform access to C(z) and C'(z) of a measure or a triple."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self._closed = None
-        if isinstance(obj, Measure):
-            self._closed = closed_form_c(obj)
-
-    def mean(self):
-        if isinstance(self.obj, LevyTriple):
-            return cumulants_from_triple(self.obj, 1)[0]
-        return self.obj.mean()
-
-    def c(self, z):
-        if isinstance(self.obj, LevyTriple):
-            return levy_khintchine_C(self.obj, z)
-        if self._closed is not None:
-            return self._closed[0](z)
-        return cumulant_transform(self.obj, z)
-
-    def c_prime(self, z):
-        if isinstance(self.obj, LevyTriple):
-            return levy_khintchine_C_prime(self.obj, z)
-        if self._closed is not None:
-            return self._closed[1](z)
+    def c_prime(z):
         h = 1e-7 * max(1.0, abs(z))
-        return (self.c(z + h) - self.c(z - h)) / (2 * h)
+        return (c(z + h) - c(z - h)) / (2 * h)
+    return c, c_prime, mean
 
 
 class FreeConvolution:
@@ -500,16 +447,17 @@ class FreeConvolution:
     def __init__(self, parts):
         if len(parts) < 2:
             raise DomainError("need at least two factors")
-        self.parts = [_CProvider(p) for p in parts]
+        self._cs, self._c_primes, means = zip(*map(_transform_of, parts))
+        self._mean = sum(means)
 
     def c(self, z):
-        return sum(p.c(z) for p in self.parts)
+        return sum(c(z) for c in self._cs)
 
     def c_prime(self, z):
-        return sum(p.c_prime(z) for p in self.parts)
+        return sum(c_prime(z) for c_prime in self._c_primes)
 
     def mean(self):
-        return sum(p.mean() for p in self.parts)
+        return self._mean
 
     def cauchy(self, z, seed=None):
         """G(z) of the convolution: the root u of C(u) + 1 - z u = 0."""
@@ -541,33 +489,25 @@ class FreeConvolution:
         """
         values = []
         failures = []
-        seed1 = seed2 = None
+        seeds = (None, None)
         for x in xs:
             try:
-                # continuation: walk down from a safe height on the first
-                # point, then reuse the neighbour's solution
-                if seed1 is None:
-                    w = None
-                    for height in np.geomspace(1.0, STIELTJES_EPS, 12):
+                gs = []
+                for eps, w in zip((STIELTJES_EPS, 2 * STIELTJES_EPS), seeds):
+                    # continuation: walk down from a safe height on the
+                    # first point, then reuse the neighbour's solution
+                    heights = np.geomspace(1.0, eps, 12) if w is None \
+                        else [eps]
+                    for height in heights:
                         w = self.cauchy(complex(x, height), seed=w)
-                    g1 = w
-                else:
-                    g1 = self.cauchy(complex(x, STIELTJES_EPS), seed=seed1)
-                if seed2 is None:
-                    w = None
-                    for height in np.geomspace(1.0, 2 * STIELTJES_EPS, 12):
-                        w = self.cauchy(complex(x, height), seed=w)
-                    g2 = w
-                else:
-                    g2 = self.cauchy(complex(x, 2 * STIELTJES_EPS), seed=seed2)
-                seed1, seed2 = g1, g2
-                f1 = -g1.imag / math.pi
-                f2 = -g2.imag / math.pi
+                    gs.append(w)
+                seeds = gs
+                f1, f2 = (-g.imag / math.pi for g in gs)
                 values.append(max(2 * f1 - f2, 0.0))
             except NonConvergenceError as exc:
                 values.append(float("nan"))
                 failures.append((float(x), exc.message))
-                seed1 = seed2 = None
+                seeds = (None, None)
         return np.array(values), failures
 
 

@@ -24,10 +24,15 @@ modular oracle applies Delta and J to one matrix unit at a time, where the
 library uses their closed Kronecker forms per block.  The first-block
 oracles run the library's recursion on the table's own scalars, with the
 same operations in the same order, where the library scales exact tables
-to integers.
+to integers.  The Cauchy quadrature oracle integrates a closed-form
+density against 1/(z - t) adaptively, where the library evaluates the
+density's Herglotz closed form.
 """
 
+import math
+
 import numpy as np
+from scipy import integrate
 
 from freepoisson import _scalars as sc
 from freepoisson.algebra import trivial_algebra
@@ -37,6 +42,7 @@ from freepoisson.fock import (PROJECTIVE, STRICT, FockOperator, FockSpace,
                               wick_words)
 from freepoisson.ncpart import (enumerate_nc, is_noncrossing,
                                 refinement_leq)
+from freepoisson.transforms import density_function
 from freepoisson.variation import difference_words
 
 
@@ -514,3 +520,30 @@ def dilation_second_quantize(t, wick_terms, L, dilation):
                       PROJECTIVE)
     p_fock = kron_powers(dil.p_n, L)
     return (p_fock @ op.sparse() @ p_fock.conj().T).toarray()
+
+
+# -- Cauchy transform -----------------------------------------------------------
+
+def quadrature_cauchy(measure, z):
+    """G(z) with the atoms summed and the density integrated adaptively.
+
+    Real z inside the density's support gives the boundary value from
+    above: minus the principal value of the integral of f(t)/(t - x),
+    minus i pi f(x).
+    """
+    z = complex(z)
+    total = sum(w / (z - t) for t, w in measure.atoms) + 0j
+    if measure.density is None:
+        return total
+    tol = 1e-9
+    f, (lo, hi) = density_function(measure.density)
+    x, y = z.real, z.imag
+    if y == 0 and lo < x < hi:
+        pv = integrate.quad(f, lo, hi, weight="cauchy", wvar=x,
+                            epsabs=tol, epsrel=tol, limit=200)[0]
+        return total - pv - 1j * math.pi * f(x)
+    re = integrate.quad(lambda t: (x - t) * f(t) / ((x - t) ** 2 + y * y),
+                        lo, hi, epsabs=tol, epsrel=tol, limit=200)[0]
+    im = integrate.quad(lambda t: -y * f(t) / ((x - t) ** 2 + y * y),
+                        lo, hi, epsabs=tol, epsrel=tol, limit=200)[0]
+    return total + re + 1j * im

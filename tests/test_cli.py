@@ -302,6 +302,31 @@ def test_non_numeric_input_exit_2(capsys, argv):
     assert json.loads(err)["code"] == "validation"
 
 
+_ZERO_DEN = {"num": 1, "den": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cum", "to-cumulants", "--mode", "exact", "--inline",
+     json.dumps({"values": [{"word": ["x"], "value": _ZERO_DEN}]})],
+    ["fock", "wick", "--mode", "exact", "--inline",
+     json.dumps({"algebra": {"gram": [[1]], "s": [[1]], "lmul": [[[0]]]},
+                 "truncation": 3, "tensor": [[_ZERO_DEN], [2]]})],
+    ["nc", "check", "--inline", "[]"],
+    ["levy", "split", "--inline",
+     json.dumps({"a": 0.0, "b": 1.0, "rho": [1]})],
+    ["dist", "conv", "--inline",
+     json.dumps({"parts": [[1], {"atoms": [[1.0, 1.0]]}]})],
+    ["dist", "conv", "--inline",
+     json.dumps({"parts": [{"atoms": [[1.0, 1.0]]}, {"atoms": [[0.0, 1.0]]}],
+                 "points": [[0]]})],
+], ids=["cum-zero-den", "fock-zero-den", "nc-list", "levy-rho-list",
+        "dist-part-list", "dist-short-point"])
+def test_malformed_input_exit_2(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["code"] == "validation"
+
+
 def test_variation_run_csv(capsys):
     payload = json.dumps({"atoms": [[1, 1]], "b": 0, "t": 1, "k": 2,
                           "n_list": [4, 8, 16, 32]})

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from freepoisson import _scalars as sc
-from freepoisson.errors import DomainError, ValidationError
+from freepoisson.errors import DomainError, NotTracialError, ValidationError
 from freepoisson.ncps import NcProbSpace
 from freepoisson.quantize import (CpMap, L2Space, biweight, build_dilation,
                                   check_admissible, conjugate_embedding,
@@ -355,6 +355,25 @@ def test_second_quantization_vacuum_state_preserved():
         source_op = op if source_op is None else source_op + op
     src_mat = sc.to_float_array(source_op.matrix())
     assert abs(got[0, 0] - src_mat[0, 0]) < 1e-9
+
+
+def test_onb_algebra_keeps_the_modular_operator():
+    """The onb view carries Delta, so a non-tracial space stays non-tracial
+    and the vacuum modular operator is Delta, not 1."""
+    from freepoisson.fock import FockSpace, GnsAlgebra, modular_ops, right_field
+    space = NcProbSpace([2], [[[0.7, 0.1], [0.1, 0.3]]], mode=sc.FLOAT)
+    l2 = L2Space(space)
+    gns = GnsAlgebra(space)
+    alg = l2.onb_algebra()
+    assert not gns.is_tracial()
+    assert not alg.is_tracial()
+    assert np.array_equal(alg.delta, l2.linear_map_onb(gns.delta))
+    fk = FockSpace(alg, 2)
+    with pytest.raises(NotTracialError):
+        right_field(fk, np.eye(alg.dim)[0])
+    d_om = modular_ops(fk)[2].leg_matrix
+    assert np.array_equal(d_om, alg.delta)
+    assert not np.allclose(d_om, np.eye(alg.dim))
 
 
 def test_ou_semigroup_scales_degrees():

@@ -9,6 +9,7 @@ import pytest
 from freepoisson import transforms as tr
 from freepoisson.errors import DomainError, ValidationError
 from freepoisson.ncps import CumulantFunctional, moments_from_cumulants
+from oracles import quadrature_cauchy
 
 
 # -- Cauchy transform ----------------------------------------------------------
@@ -28,7 +29,7 @@ def test_cauchy_free_poisson_closed_form_matches_quadrature():
     m = tr.free_poisson_measure(1.0)
     for z in (3 + 0j, 5.0, 2 + 1j, -0.5 + 0.25j):
         a = tr.cauchy_transform(m, z)
-        b = tr.cauchy_transform(m, z, quadrature=True)
+        b = quadrature_cauchy(m, z)
         assert abs(a - b) < 1e-7, z
 
 
@@ -36,7 +37,7 @@ def test_cauchy_boundary_value_gives_density():
     lam = 1.0
     m = tr.free_poisson_measure(lam)
     for x in (1.0, 2.0, 3.0):
-        g = tr.cauchy_transform(m, complex(x, 0.0), quadrature=True)
+        g = quadrature_cauchy(m, complex(x, 0.0))
         f = tr.free_poisson_density(lam, x)[0]
         assert abs(-g.imag / math.pi - f) < 1e-7
 
@@ -294,6 +295,20 @@ def test_convolve_poisson_plus_poisson():
         assert abs(conv.c(z) - tr.levy_khintchine_C(t2, z)) < 1e-9
     ks = tr.cumulants_from_triple(t2, 6)
     assert all(abs(k - 2.0) < 1e-12 for k in ks)
+
+
+def test_convolve_bernoulli_gives_arcsine():
+    """b = (delta_-1 + delta_1)/2 has no closed-form C, so both parts use
+    Newton inversion; b boxplus b is the arcsine law 1/(pi sqrt(4 - x^2))."""
+    b = tr.Measure(atoms=[(-1.0, 0.5), (1.0, 0.5)])
+    conv = tr.free_convolve(b, b)
+    for z in (0.1, 0.05j, -0.08 + 0.03j):
+        assert conv.c(z) == 2 * tr.cumulant_transform(b, z)
+    xs = np.linspace(-1.6, 1.6, 9)
+    vals, fails = conv.density_on_grid(xs)
+    assert not fails
+    ref = 1.0 / (math.pi * np.sqrt(4.0 - xs ** 2))
+    assert np.max(np.abs(vals - ref)) < 1e-6
 
 
 def _random_triple(rng):
