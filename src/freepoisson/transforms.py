@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (DomainError, NonConvergenceError, ShapeError,
                      ValidationError)
@@ -70,6 +69,7 @@ class Measure:
         """n-th raw moment, quadrature for the density part."""
         total = sum(w * t ** n for t, w in self.atoms)
         if self.density is not None:
+            from scipy import integrate   # loaded by quadrature users only
             f, (lo, hi) = density_function(self.density)
             val, _ = integrate.quad(lambda x: x ** n * f(x), lo, hi,
                                     epsabs=1e-10, epsrel=1e-10, limit=200)

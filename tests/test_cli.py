@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,28 +305,63 @@ def test_non_numeric_input_exit_2(capsys, argv):
 
 
 _ZERO_DEN = {"num": 1, "den": 0}
+_ALGEBRA_1 = {"gram": [[1.0]], "s": [[1.0]], "lmul": [[[0.0]]]}
+_TRIPLE = {"a": 0.0, "b": 1.0, "rho": {"atoms": [[0.5, 1.0]]}}
 
 
-@pytest.mark.parametrize("argv", [
-    ["cum", "to-cumulants", "--mode", "exact", "--inline",
-     json.dumps({"values": [{"word": ["x"], "value": _ZERO_DEN}]})],
-    ["fock", "wick", "--mode", "exact", "--inline",
-     json.dumps({"algebra": {"gram": [[1]], "s": [[1]], "lmul": [[[0]]]},
-                 "truncation": 3, "tensor": [[_ZERO_DEN], [2]]})],
-    ["nc", "check", "--inline", "[]"],
-    ["levy", "split", "--inline",
-     json.dumps({"a": 0.0, "b": 1.0, "rho": [1]})],
-    ["dist", "conv", "--inline",
-     json.dumps({"parts": [[1], {"atoms": [[1.0, 1.0]]}]})],
-    ["dist", "conv", "--inline",
-     json.dumps({"parts": [{"atoms": [[1.0, 1.0]]}, {"atoms": [[0.0, 1.0]]}],
-                 "points": [[0]]})],
+def _cum_value(value):
+    return ["cum", "to-cumulants", "--inline",
+            json.dumps({"values": [{"word": ["x"], "value": value}]})]
+
+
+def _fock_truncation(truncation):
+    return ["fock", "moments", "--inline",
+            json.dumps({"algebra": _ALGEBRA_1, "truncation": truncation,
+                        "words": [[1.0]]})]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["cum", "to-cumulants", "--mode", "exact", "--inline",
+      json.dumps({"values": [{"word": ["x"], "value": _ZERO_DEN}]})],
+     "input.values[0].value.den"),
+    (["fock", "wick", "--mode", "exact", "--inline",
+      json.dumps({"algebra": {"gram": [[1]], "s": [[1]], "lmul": [[[0]]]},
+                  "truncation": 3, "tensor": [[_ZERO_DEN], [2]]})],
+     "input.tensor[0][0].den"),
+    (["nc", "check", "--inline", "[]"], "input"),
+    (["levy", "split", "--inline",
+      json.dumps({"a": 0.0, "b": 1.0, "rho": [1]})], "input.rho"),
+    (["dist", "conv", "--inline",
+      json.dumps({"parts": [[1], {"atoms": [[1.0, 1.0]]}]})],
+     "input.parts[0]"),
+    (["dist", "conv", "--inline",
+      json.dumps({"parts": [{"atoms": [[1.0, 1.0]]}, {"atoms": [[0.0, 1.0]]}],
+                  "points": [[0]]})], "input.points[0]"),
+    (["cum", "to-cumulants", "--inline", '{"values": {}}'], "input.values"),
+    (_cum_value([1, 2, 3]), "input.values[0].value"),
+    (_cum_value(True), "input.values[0].value"),
+    (["levy", "split", "--inline", json.dumps({**_TRIPLE, "a": True})],
+     "input.a"),
+    (_fock_truncation(4.7), "input.truncation"),
+    (_fock_truncation("4"), "input.truncation"),
+    (["levy", "cumulants", "--inline", json.dumps({**_TRIPLE, "n": 3.9})],
+     "input.n"),
+    (["variation", "run", "--inline",
+      json.dumps({"atoms": [[1, 1]], "k": 2.9, "n_list": [4, 8, 16, 32]})],
+     "input.k"),
+    (["nc", "check", "--inline",
+      json.dumps({"n": 0, "blocks": [[1, 2]]})], "input.n"),
 ], ids=["cum-zero-den", "fock-zero-den", "nc-list", "levy-rho-list",
-        "dist-part-list", "dist-short-point"])
-def test_malformed_input_exit_2(capsys, argv):
+        "dist-part-list", "dist-short-point", "cum-values-object",
+        "scalar-three-entries", "scalar-bool", "number-bool",
+        "truncation-float", "truncation-string", "levy-n-float",
+        "variation-k-float", "nc-check-n-zero"])
+def test_malformed_input_exit_2(capsys, argv, field):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
-    assert json.loads(err.strip().splitlines()[-1])["code"] == "validation"
+    body = json.loads(err.strip().splitlines()[-1])
+    assert body["code"] == "validation"
+    assert body["witness"] == {"field": field}
 
 
 def test_variation_run_csv(capsys):
@@ -338,6 +375,24 @@ def test_variation_run_csv(capsys):
     assert len(lines) == 5
     code, out, _ = capture(capsys, ["variation", "run", "--inline", payload])
     data = json.loads(out)
+    assert -0.65 <= data["slope"] <= -0.35
+
+
+def test_variation_run_exact_atoms(capsys):
+    # {"num", "den"} atoms, b and t are read as Fractions
+    from fractions import Fraction as F
+    from freepoisson import variation as va
+    half = {"num": 1, "den": 2}
+    payload = json.dumps({"atoms": [[half, {"num": 3, "den": 2}]],
+                          "b": {"num": 0, "den": 1}, "t": half, "k": 2,
+                          "n_list": [4, 8, 16, 32]})
+    code, out, _ = capture(capsys, ["variation", "run", "--inline", payload])
+    assert code == 0
+    data = json.loads(out)
+    want = va.run_experiment(va.VariationExperiment(
+        atoms=[(F(1, 2), F(3, 2))], b=F(0), t=F(1, 2), k=2,
+        n_list=(4, 8, 16, 32)))
+    assert data["errors"] == want["errors"]
     assert -0.65 <= data["slope"] <= -0.35
 
 
@@ -457,15 +512,15 @@ def test_cp_dual_roundtrips_via_json(capsys):
 
 
 def test_non_convergence_exit_4(capsys, monkeypatch):
-    # the parser binds handlers by name at build time, so patching the
-    # module-level handler exercises the real exit-code wiring
+    # run() dispatches through the verb table, so patching its entry
+    # exercises the real exit-code wiring
     from freepoisson import cli
     from freepoisson.errors import NonConvergenceError
 
     def boom(args):
         raise NonConvergenceError("did not converge", witness=[0.0, 0.0])
 
-    monkeypatch.setattr(cli, "_cmd_dist", boom)
+    monkeypatch.setitem(cli.VERBS["dist"], "density", boom)
     code = cli.run(["dist", "density", "--law", "free_poisson"])
     assert code == 4
     err = capsys.readouterr().err
@@ -523,6 +578,20 @@ def test_usage_error_ends_with_json_exit_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("usage:")
     assert json.loads(err.strip().splitlines()[-1])["code"] == "usage"
+
+
+def _readme_cli_examples():
+    """The argv of each README CLI example that needs no --input file."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("freepoisson ") and "--input" not in line]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(),
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_readme_cli_example_exits_0(capsys, argv):
+    assert run(argv) == 0
 
 
 def test_help_exits_0(capsys):
