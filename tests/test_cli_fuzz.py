@@ -51,8 +51,19 @@ REQUESTS = [
                             "n_list": [2, 3, 4, 5]}),
 ]
 
-_KEYS = sorted({k for _, p in REQUESTS for k in json.dumps(p).split('"')[1::2]
-                if k.isidentifier()})
+
+def _nodes(value, path=()):
+    """Every (path, value) inside a JSON value, the root included."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _nodes(sub, path + (key,))
+
+
+# the object keys of the valid payloads, so random objects can hit a spec
+_KEYS = sorted({key for _, payload in REQUESTS for _, v in _nodes(payload)
+                if isinstance(v, dict) for key in v})
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 4),
     st.floats(-4, 4, allow_nan=False),
@@ -62,15 +73,6 @@ _JSON = st.recursive(
     _LEAVES, lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids,
                       max_size=3), max_leaves=9)
-
-
-def _nodes(value, path=()):
-    """Every (path, value) inside a JSON value, the root included."""
-    yield path, value
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    for key, sub in items:
-        yield from _nodes(sub, path + (key,))
 
 
 def _mutated(draw, payload):
