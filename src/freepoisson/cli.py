@@ -133,8 +133,7 @@ def _emit(args, payload):
     if isinstance(payload, list):
         text = "\n".join(",".join(str(c) for c in row) for row in payload)
     else:
-        text = json.dumps({"schema": SCHEMA, **payload}, indent=2,
-                          default=str)
+        text = json.dumps({"schema": SCHEMA, **payload}, indent=2, default=str)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -154,8 +153,9 @@ def _mode(args):
 
 MATRIX = [[SCALAR]]
 ALGEBRA = {"gram": MATRIX, "s": MATRIX, "lmul": [MATRIX], "unit?": [SCALAR]}
-MEASURE = {"atoms?": [(NUM, NUM)],
-           "density?": {"kind": STR, "lambda?": NUM, "a?": NUM, "b?": NUM}}
+MEASURE = {"atoms?": [(NUM, NUM)], "density?": lambda d: {"kind": STR, **{
+    "free_poisson": {"lambda": NUM}, "semicircle": {"a": NUM, "b": NUM},
+}.get(type(d) is dict and str(d.get("kind")), {})}}
 TRIPLE = {"a": NUM, "b": NUM, "rho": MEASURE}
 SPACE = {"blocks": [COUNT], "density": [MATRIX], "mode?": STR}
 

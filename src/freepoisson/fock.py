@@ -34,14 +34,16 @@ column, applying both to each basis vector it needs; no exact matrix is
 ever built.  Float matrices and norms are built from sparse letter blocks
 instead: each letter is one CSR matrix on the truncated space
 (kron(leg, I) per degree), a word is their product, and
-``FockOperator.sparse`` sums the words.  ``FockOperator.norm`` never
-densifies: it takes the top singular value of the Gram-twisted CSR with
-ARPACK, under a budget on the nonzeros it builds.  Second quantization
-compiles its words from the same blocks.  The Fock inner product and the
-graded modular maps expand each entry leg by leg through one helper,
-``_legwise``, on integer Gram rows or leg columns over their lcm D (a
-degree-k entry carries D^k).  scipy.sparse and scipy.sparse.linalg are
-imported inside these functions only, so exact work never loads them.
+``FockOperator.sparse`` sums the words.  ``transport`` moves every letter
+through a pair (left, right) of one-particle maps, as the functor F does:
+``FockOperator.norm`` transports by (G^{1/2}, G^{-1/2}) and takes the top
+singular value of the CSR with ARPACK, never densifying, under a budget
+on the nonzeros of a letter block; second quantization transports the
+Wick words on the dilation space by (p_N, p_N*).  The Fock inner product
+and the graded modular maps expand each entry leg by leg through one
+helper, ``_legwise``, on integer Gram rows or leg columns over their lcm
+D (a degree-k entry carries D^k).  scipy.sparse and scipy.sparse.linalg
+are imported inside these functions only, so exact work never loads them.
 """
 
 import math
@@ -52,7 +54,7 @@ from itertools import product
 import numpy as np
 
 from . import _scalars as sc
-from .algebra import PseudoHilbertAlgebra
+from .algebra import PseudoHilbertAlgebra, trivial_algebra
 from .errors import (DomainError, NotTracialError, OverflowError_,
                      ShapeError, SizeLimitError, TruncationError)
 
@@ -61,8 +63,8 @@ PROJECTIVE = "projective"
 # FockSpace keeps dim**k for every degree k <= L, so the truncation is
 # capped before that list is built
 MAX_TRUNCATION = 1000
-# norm() refuses, before building anything, a space whose Gram powers and
-# largest possible letter block would hold more nonzeros than this
+# norm() refuses, before building anything, a space whose largest possible
+# letter block would hold more nonzeros than this
 MAX_NORM_NNZ = 10 ** 6
 # below this many dimensions a dense SVD is faster than ARPACK
 DENSE_NORM_DIM = 128
@@ -191,14 +193,13 @@ class FockSpace:
         self.offsets = [0]
         for d in self.degree_dims[:-1]:
             self.offsets.append(self.offsets[-1] + d)
-        self._gram_half = None
         self._gram_rows = None
 
     def check_dense_cap(self):
         """Dense matrices are capped; sparse vector work and norm() are not.
 
         matrix() allocates total_dim^2 entries.  norm() stays sparse and is
-        bounded by the nonzero budget that gram_half() checks instead.
+        bounded by the nonzero budget that it checks instead.
         """
         if self.total_dim ** 2 > 4 * 10 ** 6:
             raise DomainError("truncated space too large for dense "
@@ -256,28 +257,6 @@ class FockSpace:
             return Fraction(total, u._den * v._den * den ** self.L)
         return total
 
-    def gram_half(self):
-        """Blockdiag (G^{1/2})^{x k} and its inverse as CSR (float only).
-
-        Raises DomainError, before either is built, when they and the
-        largest letter block (a full gauge leg, dim^2 nonzeros in each
-        degree below L) would hold more than MAX_NORM_NNZ nonzeros.
-        """
-        if self._gram_half is None:
-            g = sc.to_float_array(self.gram)
-            ev, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
-            gh = (vec * np.sqrt(np.clip(ev, 0, None))) @ vec.conj().T
-            ghi = (vec / np.sqrt(np.clip(ev, 1e-300, None))) @ vec.conj().T
-            nnz = self.dim ** 2 * (self.total_dim - self.degree_dims[-1])
-            for m in (gh, ghi):
-                nnz += sum(np.count_nonzero(m) ** k for k in range(self.L + 1))
-            if nnz > MAX_NORM_NNZ:
-                raise DomainError("truncated space too large for norm(): "
-                                  "%d nonzeros > %d" % (nnz, MAX_NORM_NNZ))
-            self._gram_half = (kron_powers(gh, self.L),
-                               kron_powers(ghi, self.L))
-        return self._gram_half
-
 
 def _legwise(idx, c, cols):
     """One entry c at idx, expanded leg by leg: {jdx: c * x_1 ... x_k}.
@@ -290,32 +269,6 @@ def _legwise(idx, c, cols):
         partial = {key + (b,): v * x for key, v in partial.items()
                    for b, x in cols[a]}
     return partial
-
-
-def kron_powers(leg, L):
-    """F(leg) = blockdiag(leg^{x k}, k = 0..L) as CSR.
-
-    ``leg`` may be rectangular: F maps the truncated Fock space over its
-    column space to the one over its row space, with 1 on the vacuum.
-    """
-    import scipy.sparse as sp
-    leg = sc.to_float_array(leg)
-    r, c = np.nonzero(leg)
-    vals = leg[r, c]
-    br, bc, bv = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1)
-    rows, cols, data = [br], [bc], [bv]
-    ro = co = 1
-    for k in range(1, L + 1):
-        br = (br[:, None] * leg.shape[0] + r).ravel()
-        bc = (bc[:, None] * leg.shape[1] + c).ravel()
-        bv = (bv[:, None] * vals).ravel()
-        rows.append(br + ro)
-        cols.append(bc + co)
-        data.append(bv)
-        ro, co = ro + leg.shape[0] ** k, co + leg.shape[1] ** k
-    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(ro, co))
 
 
 def _numerators(values, mode):
@@ -720,8 +673,10 @@ class FockOperator:
     def norm(self):
         """Operator norm w.r.t. the Fock inner product (float).
 
-        The largest singular value of G^{1/2} A G^{-1/2}, formed as CSR
-        and never densified past DENSE_NORM_DIM: ARPACK (scipy's svds,
+        The largest singular value of F(G^{1/2}) A F(G^{-1/2}): the terms
+        transported letter by letter by (G^{1/2}, G^{-1/2}) onto the Fock
+        space of a trivial algebra (see transport), formed as CSR and
+        never densified past DENSE_NORM_DIM: ARPACK (scipy's svds,
         k=1) from a fixed random start vector, since an all-ones start
         can lie in the kernel of these symmetric operators.  Repeated
         calls return the same float, except that with a degenerate top
@@ -729,10 +684,21 @@ class FockOperator:
         work arrays land in memory.  Below DENSE_NORM_DIM dimensions, where
         ARPACK is slower and rejects the smallest shapes, a dense SVD is
         taken instead.  Either runs in real arithmetic when the twisted
-        matrix has no imaginary part.
+        matrix has no imaginary part.  Raises DomainError, before any CSR
+        is built, when the largest letter block (a full gauge leg, dim^2
+        nonzeros in each degree below L) would hold more than MAX_NORM_NNZ
+        nonzeros; the word products are not bounded.
         """
-        half, halfinv = self.fock.gram_half()
-        twisted = half @ self.sparse() @ halfinv
+        f = self.fock
+        nnz = f.dim ** 2 * (f.total_dim - f.degree_dims[-1])
+        if nnz > MAX_NORM_NNZ:
+            raise DomainError("truncated space too large for norm(): "
+                              "%d nonzeros > %d" % (nnz, MAX_NORM_NNZ))
+        g = sc.to_float_array(f.gram)
+        ev, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
+        gh = (vec * np.sqrt(np.clip(ev, 0, None))) @ vec.conj().T
+        ghi = (vec / np.sqrt(np.clip(ev, 1e-300, None))) @ vec.conj().T
+        twisted = transport(self.terms, f.L, gh, ghi).sparse()
         scale = float(np.abs(twisted.data).max(initial=0.0))
         if scale == 0.0:
             return 0.0
@@ -785,6 +751,33 @@ class FockOperator:
         d = (self.sparse() - other.sparse())[:, :f.offsets[top]
                                              + f.degree_dims[top]]
         return float(np.abs(d.data).max(initial=0.0)) <= tol
+
+
+def transport(terms, L, left, right):
+    """The terms with each letter moved by the pair (left, right), as a
+    projective operator on FockSpace(trivial_algebra(len(left)), L).
+
+    ``right`` is the adjoint A* of A = ``left`` from the terms' inner
+    product to the plain one: (G^{1/2}, G^{-1/2}) in norm(), (p_N, p_N*)
+    in second quantization.  Creation and annihilation payloads u become
+    A u, gauge payloads T become A T A*: F(A) c(u) = c(Au) F(A),
+    a(v) F(A)* = F(A)* a(Av) and F(A) Lambda(T) F(A)* = Lambda(A T A*).
+    Each distinct letter is moved once, so sparse() still shares word
+    prefixes and letter blocks.
+    """
+    moved = {}
+    out = []
+    for c, letters in terms:
+        word = []
+        for kind, payload in letters:
+            key = (kind, id(payload))
+            if key not in moved:
+                m = left @ sc.to_float_array(payload)
+                moved[key] = (kind, m @ right if kind in ("g", "gr") else m)
+            word.append(moved[key])
+        out.append((c, tuple(word)))
+    return FockOperator(FockSpace(trivial_algebra(len(left)), L), out,
+                        PROJECTIVE)
 
 
 def identity(fock, mode=STRICT):

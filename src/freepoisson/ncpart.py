@@ -96,7 +96,11 @@ class NcPartition:
 
 
 def _canonical(blocks):
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    # sorted whole: disjoint blocks compare by their first elements
+    blocks = [tuple(sorted(b)) for b in blocks]
+    if () in blocks:
+        raise ShapeError("empty block")
+    return tuple(sorted(blocks))
 
 
 def _check_partition(n, blocks):
@@ -104,8 +108,6 @@ def _check_partition(n, blocks):
         raise DomainError("n must be >= 1, got %d" % n)
     seen = set()
     for b in blocks:
-        if not b:
-            raise ShapeError("empty block")
         for x in b:
             if not isinstance(x, int) or not 1 <= x <= n:
                 raise ShapeError("element %r outside 1..%d" % (x, n))

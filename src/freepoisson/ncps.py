@@ -267,14 +267,19 @@ def moments_table(cumulants, words):
 
     ``cumulants`` is a word-indexed mapping (or a CumulantFunctional); the
     words share one memo, so a subword common to several is summed once.
-    Returns a dict from each word (as a tuple) to its moment.
+    Returns a dict from each word (as a tuple) to its moment; a subword
+    missing from a mapping raises ValidationError.
     """
     if isinstance(cumulants, CumulantFunctional):
         get, values = cumulants.value, cumulants.values.values()
     else:
         get, values = cumulants.__getitem__, cumulants.values()
     m = _on_integers(_moment_slots, get, values)
-    return {w: m(w) for w in map(tuple, words)}
+    try:
+        return {w: m(w) for w in map(tuple, words)}
+    except KeyError as exc:
+        raise ValidationError("cumulants missing subword %r"
+                              % (exc.args[0],)) from None
 
 
 def moments_from_cumulants(cumulants, word):

@@ -24,7 +24,8 @@ core's matrices directly.
 The second quantization dilates through the three-summand space
 L^2(M) + H_T + L^2(N): an isometry k_M feeds the source fields into the
 Stinespring correspondence H_T, the coisometry p_N compresses onto the
-target, and Wick words map to Wick words of the L^2-compression T2.
+target through ``fock.transport``, and Wick words map to Wick words of
+the L^2-compression T2.
 """
 
 import math
@@ -33,11 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _scalars as sc
-from .algebra import (PseudoHilbertAlgebra, structure_constants,
-                      trivial_algebra)
+from .algebra import PseudoHilbertAlgebra, structure_constants
 from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
                      ValidationError)
-from .fock import (PROJECTIVE, FockOperator, FockSpace, GnsAlgebra, wick,
+from .fock import (PROJECTIVE, FockSpace, GnsAlgebra, transport, wick,
                    wick_words)
 from .ncps import NcProbSpace
 
@@ -449,10 +449,9 @@ def second_quantize(t, wick_terms, L, dilation=None):
     which tests compare against Psi(T2 legs).
 
     Gamma(T) = F(p_N) W F(p_N)*, with W the Wick words on the dilation
-    space (payloads k_M x, k_M S conj(x), pi_tilde(x)).  Since
-    F(p) c(u) = c(p u) F(p), a(v) F(p)* = F(p)* a(p v) and, as
-    p_N p_N* = 1, F(p) g(A) F(p)* = g(p A p*), each payload is compressed
-    through p_N once and the words are compiled on the target space,
+    space (payloads k_M x, k_M S conj(x), pi_tilde(x)).  As p_N is a
+    coisometry, ``fock.transport`` by (p_N, p_N*) moves each distinct
+    letter of W onto the target once, and the words are compiled there,
     under its dense cap.  A p_N further than COISOMETRY_TOL from a
     coisometry raises DomainError.  Admissibility is checked once, by
     build_dilation: a passed ``dilation`` is not checked again.
@@ -467,18 +466,15 @@ def second_quantize(t, wick_terms, L, dilation=None):
     defect = float(np.abs(p_n @ p_n.conj().T - np.eye(len(p_n))).max())
     if defect > COISOMETRY_TOL:
         raise DomainError("p_N is not a coisometry (defect %.3g)" % defect)
-    pk = p_n @ dil.k_m
     s_m = dil.l2m.smat_onb()
     terms = []
     for coeff, legs in wick_terms:
         legs = [np.asarray(x, dtype=complex) for x in legs]
-        words = wick_words(
-            [pk @ x for x in legs], [pk @ (s_m @ np.conj(x)) for x in legs],
-            [p_n @ dil.pi_tilde(dil.l2m.from_onb(x)) @ p_n.conj().T
-             for x in legs])
+        words = wick_words([dil.k_m @ x for x in legs],
+                           [dil.k_m @ (s_m @ np.conj(x)) for x in legs],
+                           [dil.pi_tilde(dil.l2m.from_onb(x)) for x in legs])
         terms += [(coeff, w) for w in words]
-    fock = FockSpace(trivial_algebra(len(p_n)), L)
-    return FockOperator(fock, terms, PROJECTIVE).matrix()
+    return transport(terms, L, p_n, p_n.conj().T).matrix()
 
 
 def wick_matrix_on_target(t, legs_n, L):

@@ -14,7 +14,8 @@ library uses the closed splitting sum.  The letter
 block oracle builds through COO and lets scipy sort, where the library
 writes canonical CSR directly.  The second quantization oracle compiles
 the Wick words on the Fock space over the whole dilation space and
-compresses the operator, where the library compresses each leg.  The
+compresses the operator by Kronecker powers of p_N (``kron_powers``),
+where the library transports each letter.  The
 reference interpreter runs Fock vectors as plain {index tuple:
 coefficient} dicts of ``Fraction`` (or complex) values and reads each
 letter's dense leg on every application, where the library holds exact
@@ -38,8 +39,7 @@ from freepoisson import _scalars as sc
 from freepoisson.algebra import trivial_algebra
 from freepoisson.errors import DomainError, OverflowError_, TruncationError
 from freepoisson.fock import (PROJECTIVE, STRICT, FockOperator, FockSpace,
-                              FockVector, field_X, identity, kron_powers,
-                              wick_words)
+                              FockVector, field_X, identity, wick_words)
 from freepoisson.ncpart import (enumerate_nc, is_noncrossing,
                                 refinement_leq)
 from freepoisson.transforms import density_function
@@ -503,6 +503,32 @@ def dense_twisted_norm(fock, a):
 
 
 # -- second quantization ------------------------------------------------------
+
+def kron_powers(leg, L):
+    """F(leg) = blockdiag(leg^{x k}, k = 0..L) as CSR.
+
+    ``leg`` may be rectangular: F maps the truncated Fock space over its
+    column space to the one over its row space, with 1 on the vacuum.
+    """
+    import scipy.sparse as sp
+    leg = sc.to_float_array(leg)
+    r, c = np.nonzero(leg)
+    vals = leg[r, c]
+    br, bc, bv = np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1)
+    rows, cols, data = [br], [bc], [bv]
+    ro = co = 1
+    for k in range(1, L + 1):
+        br = (br[:, None] * leg.shape[0] + r).ravel()
+        bc = (bc[:, None] * leg.shape[1] + c).ravel()
+        bv = (bv[:, None] * vals).ravel()
+        rows.append(br + ro)
+        cols.append(bc + co)
+        data.append(bv)
+        ro, co = ro + leg.shape[0] ** k, co + leg.shape[1] ** k
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(ro, co))
+
 
 def dilation_second_quantize(t, wick_terms, L, dilation):
     """F(p_N) W F(p_N)* with the Wick words W compiled on the Fock space

@@ -69,19 +69,25 @@ def test_nc_enumerate_without_n_exit_2(capsys):
 
 
 def test_nc_check_invalid_partition_exit_2(capsys):
-    code, _, err = capture(
-        capsys, ["nc", "check", "--inline",
-                 json.dumps({"blocks": [[1, 2], [2, 3]]})])
-    assert code == 2
-    assert json.loads(err)["code"] == "shape"
+    # a repeated element, and an empty block (refused before sorting)
+    for blocks in ([[1, 2], [2, 3]], [[1], []]):
+        code, _, err = capture(capsys, ["nc", "check", "--inline",
+                                        json.dumps({"blocks": blocks})])
+        assert code == 2
+        assert json.loads(err)["code"] == "shape"
 
 
 def test_cum_missing_subword_exit_2(capsys):
-    values = [{"word": ["x"], "value": 1}, {"word": ["x"] * 3, "value": 2}]
-    code, _, err = capture(capsys, ["cum", "to-cumulants", "--inline",
-                                    json.dumps({"values": values})])
-    assert code == 2
-    assert json.loads(err)["code"] == "validation"
+    for op, values, missing in [
+            ("to-cumulants", [{"word": ["x"], "value": 1},
+                              {"word": ["x"] * 3, "value": 2}], ("x", "x")),
+            ("to-moments", [{"word": ["x", "x"], "value": 1}], ("x",))]:
+        code, _, err = capture(capsys, ["cum", op, "--inline",
+                                        json.dumps({"values": values})])
+        assert code == 2
+        body = json.loads(err)
+        assert body["code"] == "validation"
+        assert body["message"].endswith("missing subword %r" % (missing,))
 
 
 @pytest.mark.parametrize("op", ["to-cumulants", "to-moments"])
@@ -246,9 +252,10 @@ def test_fock_norm_verb_past_dense_size(capsys):
 
 
 def test_fock_norm_past_nonzero_budget_exit_2(capsys):
-    # a dense 3x3 Gram: its 8th tensor power alone has 9^8 nonzeros
+    # dim 3 at L 12: a full gauge leg's letter block alone would have
+    # 9 * 265,720 nonzeros
     gram = [[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]]
-    payload = _fock_norm_payload(gram, 8, [[1.0, -0.5, 0.25]])
+    payload = _fock_norm_payload(gram, 12, [[1.0, -0.5, 0.25]])
     code, out, err = capture(capsys, ["fock", "norm", "--inline", payload])
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == "domain"
@@ -351,11 +358,19 @@ def _fock_truncation(truncation):
      "input.k"),
     (["nc", "check", "--inline",
       json.dumps({"n": 0, "blocks": [[1, 2]]})], "input.n"),
+    (["dist", "conv", "--inline",
+      json.dumps({"parts": [{"density": {"kind": "free_poisson"}}]})],
+     "input.parts[0].density.lambda"),
+    (["levy", "split", "--inline",
+      json.dumps({**_TRIPLE, "rho": {"density": {"kind": "semicircle",
+                                                 "a": 0.0}}})],
+     "input.rho.density.b"),
 ], ids=["cum-zero-den", "fock-zero-den", "nc-list", "levy-rho-list",
         "dist-part-list", "dist-short-point", "cum-values-object",
         "scalar-three-entries", "scalar-bool", "number-bool",
         "truncation-float", "truncation-string", "levy-n-float",
-        "variation-k-float", "nc-check-n-zero"])
+        "variation-k-float", "nc-check-n-zero", "dist-density-no-lambda",
+        "levy-density-no-b"])
 def test_malformed_input_exit_2(capsys, argv, field):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""

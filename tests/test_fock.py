@@ -314,7 +314,6 @@ def test_gauge_norm_bound():
     space = NcProbSpace([1, 1], [[[0.7]], [[1.1]]], mode=sc.FLOAT)
     alg = gns_algebra(space)
     fk = FockSpace(alg, 4)
-    half, halfinv = fk.gram_half()
     for _ in range(5):
         t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         lam = gauge(fk, t, mode=PROJECTIVE)
@@ -448,19 +447,30 @@ def test_operator_arithmetic_needs_one_fock_space():
 
 
 def test_norm_budget_refuses_before_building(monkeypatch):
-    # a dense 3x3 Gram has 9 nonzeros, so its 8th tensor power alone holds
-    # 9^8 = 4.3e7 > MAX_NORM_NNZ; nothing of that size may be built
+    # dim 3 at L 12: a full gauge leg's block has 9 * (3^12 + ... + 3^0 -
+    # 3^12) = 2,391,480 > MAX_NORM_NNZ nonzeros; nothing may be built
     import freepoisson.fock as fock_mod
 
     def no_build(*args):
         raise AssertionError("built a CSR past the nonzero budget")
 
-    monkeypatch.setattr(fock_mod, "kron_powers", no_build)
     monkeypatch.setattr(fock_mod, "_letter_matrix", no_build)
     gram = np.array([[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]])
-    fk = FockSpace(trivial_algebra(3, gram=gram), 8)
+    fk = FockSpace(trivial_algebra(3, gram=gram), 12)
     with pytest.raises(DomainError):
         field_X(fk, np.array([1.0, 0.0, 0.0]), PROJECTIVE).norm()
+
+
+def test_norm_with_a_dense_gram_matches_the_jacobi_closed_form():
+    # dim 3 at L 8: 9 * 3,280 nonzeros in the largest letter block.  With
+    # zero multiplication and S = 1, X(e1) = l(e1) + l*(e1) acts on the
+    # chain Omega, e1, e1 x e1, ... as a path of L + 1 sites with hopping
+    # ||e1||_G, whose norm is 2 ||e1||_G cos(pi / (L + 2))
+    gram = np.array([[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]])
+    fk = FockSpace(trivial_algebra(3, gram=gram), 8)
+    got = field_X(fk, np.array([1.0, 0.0, 0.0]), PROJECTIVE).norm()
+    want = 2 * np.sqrt(2.0) * np.cos(np.pi / 10)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_truncation_capped_before_bookkeeping():

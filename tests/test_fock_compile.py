@@ -18,7 +18,7 @@ from freepoisson.errors import DomainError
 from freepoisson.fock import (DENSE_NORM_DIM, PROJECTIVE, STRICT,
                               FockOperator, FockSpace, FockVector, GradedMap,
                               _letter_matrix, annihilation, creation, gauge,
-                              gns_algebra, kron_powers, modular_ops,
+                              gns_algebra, modular_ops, wick,
                               wick_embedding_In)
 from freepoisson.ncps import NcProbSpace, diag_space
 
@@ -200,7 +200,7 @@ def test_graded_map_matches_kron_powers(data, L, modular):
         x = v.dense()
         x = x[perm] if g.reverse else x
         x = np.conj(x) if g.antilinear else x
-        want = kron_powers(sc.to_float_array(g.leg_matrix), fock.L) @ x
+        want = oracles.kron_powers(g.leg_matrix, fock.L) @ x
         _assert_close(g.apply(v).dense(), want)
 
 
@@ -211,6 +211,22 @@ def test_operator_without_terms_is_zero():
     assert op.sparse().nnz == 0
     assert not op.matrix().any()
     assert op.norm() == 0.0
+
+
+def test_norm_builds_each_distinct_letter_once(monkeypatch):
+    # the norm transports each distinct letter once, so the 7 words of a
+    # 3-leg Wick operator share 9 letter blocks: one creation, one
+    # annihilation and one gauge letter per leg
+    import freepoisson.fock as fock_mod
+    built, build = [], fock_mod._letter_matrix
+    monkeypatch.setattr(fock_mod, "_letter_matrix",
+                        lambda f, letter: built.append(letter[0])
+                        or build(f, letter))
+    rng = np.random.default_rng(3)
+    legs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
+    op = wick(FockSpace(gns_algebra(GNS_SPACE), 3), legs, PROJECTIVE)
+    assert op.norm() > 0
+    assert sorted(built) == ["a"] * 3 + ["c"] * 3 + ["g"] * 3
 
 
 @settings(max_examples=30, deadline=None)

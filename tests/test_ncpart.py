@@ -145,6 +145,11 @@ def test_is_noncrossing_rejects_malformed():
         is_noncrossing([[1], [3]], n=3)
     with pytest.raises(ShapeError):
         is_noncrossing([[0, 1]], n=1)
+    # an empty block is refused before the blocks are sorted on their heads
+    with pytest.raises(ShapeError, match="empty block"):
+        is_noncrossing([[1], []])
+    with pytest.raises(ShapeError, match="empty block"):
+        NcPartition(2, [[1, 2], []])
 
 
 def test_canonical_form_unique_and_hashable():

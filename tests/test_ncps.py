@@ -149,6 +149,10 @@ def test_missing_subword_is_validation_error():
     moms = {("x",): F(1), ("x", "x", "x"): F(2)}
     with pytest.raises(ValidationError):
         cumulants_from_moments(moms)
+    # moments_table names the missing word, exact or float
+    for cums in ({("x", "x"): F(1, 2)}, {("x", "x"): 1.0}):
+        with pytest.raises(ValidationError, match=r"\('x',\)"):
+            moments_table(cums, [("x", "x")])
 
 
 def test_word_past_cap_is_size_limit_in_both_directions():

@@ -465,6 +465,24 @@ def test_second_quantize_needs_no_dilation_fock_space():
         second_quantize(t, [(1.0, legs)], 11, dilation=dil)
 
 
+def test_second_quantize_builds_each_distinct_letter_once(monkeypatch):
+    # each leg gives one creation, one annihilation and one gauge payload;
+    # the transport onto the target moves each once, however many words
+    # hold it, so the target's letter blocks are built once per payload
+    import freepoisson.fock as fock_mod
+    built, build = [], fock_mod._letter_matrix
+    monkeypatch.setattr(fock_mod, "_letter_matrix",
+                        lambda f, letter: built.append(letter[0])
+                        or build(f, letter))
+    rng = np.random.default_rng(9)
+    s = space2(0.6, 0.9)
+    t = random_admissible(rng, s, s)
+    terms = [(1.0, [rng.normal(size=2) for _ in range(3)]),
+             (0.5j, [rng.normal(size=2)])]
+    second_quantize(t, terms, 5)
+    assert sorted(built) == ["a"] * 4 + ["c"] * 4 + ["g"] * 4
+
+
 def test_second_quantize_rejects_a_non_coisometric_p_n():
     rng = np.random.default_rng(8)
     s = space2(0.6, 0.9)
