@@ -1,17 +1,22 @@
 """Scalar-mode helpers: exact rationals vs complex floats.
 
 Exact mode stores ``fractions.Fraction`` entries in object-dtype numpy
-arrays; float mode uses ``complex128``.  All linear algebra that must stay
-exact (ranks, solves, Gram pivoting) lives here so the rest of the package
-can stay mode-agnostic.
+arrays; float mode uses ``complex128``.  Every question the package asks
+of a Gram matrix (is it PSD, which columns are independent of the ones
+before them, what are the coordinates of a vector) is answered here by
+one symmetric elimination in index order, the same in both modes, so the
+rest of the package can stay mode-agnostic.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import NotPsdError
+
 EXACT = "exact"
 FLOAT = "float"
+PIVOT_TOL = 1e-9
 
 
 def as_fraction(x):
@@ -67,76 +72,67 @@ def scalar_one(mode):
     return Fraction(1) if mode == EXACT else 1.0 + 0j
 
 
-def exact_rank(mat):
-    """Rank of a matrix with Fraction entries via Gaussian elimination."""
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+def _eliminate(gram, mode, rhs=None):
+    """Symmetric elimination of a Hermitian ``gram`` in index order.
+
+    Step k subtracts pivot row k, scaled, from the rows below it, carrying
+    the columns of ``rhs`` along.  Returns the pivots, the indices k whose
+    column is independent of the columns before it, and the eliminated
+    rows.  The Schur pivot of column k is its squared distance from the
+    span of the earlier columns; it counts as zero when it is at most
+    ``PIVOT_TOL`` times the column's own diagonal entry in float mode, and
+    when it is 0 in exact mode.  A negative pivot, or a zero pivot whose
+    row is not zero (in float: an entry a_kj with |a_kj|^2 past
+    ``PIVOT_TOL`` * a_kk * a_jj), raises NotPsdError.
+    """
+    a = array(gram, mode)
+    n = len(a)
+    diag = np.zeros(n) if mode == EXACT else a.diagonal().real
+    b = zeros((n, 0), mode) if rhs is None else array(rhs, mode)
+    a = np.hstack([a, b[:, None] if b.ndim == 1 else b])
+    pivots = []
+    for k in range(n):
+        p, zero = a[k, k].real, PIVOT_TOL * diag[k]
+        if p <= zero:
+            if p < -zero or np.any(np.abs(a[k, k + 1:n]) ** 2
+                                   > zero * diag[k + 1:]):
+                raise NotPsdError("Gram matrix is not PSD (pivot %d)" % k)
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+        pivots.append(k)
+        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / p, a[k, k:])
+    return pivots, a
 
 
-def exact_solve(mat, rhs):
-    """Solve a nonsingular square Fraction system by elimination."""
-    n = len(mat)
-    m = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular exact system")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+def gram_pivots(gram, mode):
+    """The pivots of a Hermitian PSD matrix, in index order.
 
-
-def rank(mat, mode):
-    if mode == EXACT:
-        return exact_rank(mat)
-    a = np.asarray(mat, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
+    Index k is a pivot iff column k is independent of columns 0..k-1, so
+    the pivots of a leading block are a prefix of the pivots, and the
+    principal submatrix on the pivots is positive definite.  An indefinite
+    ``gram`` raises NotPsdError.
+    """
+    return _eliminate(gram, mode)[0]
 
 
 def solve_gram(gram, rhs, mode):
-    """Solve ``gram @ c = rhs`` for coordinates against a PD Gram matrix."""
-    if mode == EXACT:
-        return np.array(exact_solve([list(r) for r in gram], list(rhs)),
-                        dtype=object)
-    return np.linalg.solve(np.asarray(gram, dtype=complex),
-                           np.asarray(rhs, dtype=complex))
+    """Solve ``gram @ c = rhs`` against a positive definite Gram matrix.
+
+    ``rhs`` is a vector or a matrix of columns, and ``c`` has its shape.
+    Exact mode runs the elimination of ``gram_pivots`` on the right-hand
+    columns, then back substitution; a singular or indefinite ``gram``
+    raises NotPsdError.  Float mode calls ``numpy.linalg.solve``.
+    """
+    if mode == FLOAT:
+        return np.linalg.solve(np.asarray(gram, dtype=complex),
+                               np.asarray(rhs, dtype=complex))
+    pivots, a = _eliminate(gram, mode, rhs)
+    n = len(a)
+    if len(pivots) < n:
+        raise NotPsdError("Gram matrix is not positive definite")
+    c = a[:, n:]
+    for k in reversed(range(n)):
+        c[k] = (c[k] - a[k, k + 1:n] @ c[k + 1:]) / a[k, k]
+    return c.reshape(np.shape(rhs))
 
 
 def to_float_array(a):

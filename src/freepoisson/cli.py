@@ -118,13 +118,16 @@ def decode(value, spec, path, mode=None):
 
 def _input(args, spec, mode=None):
     """The request's JSON (--inline, --input path or stdin) read by spec."""
-    if args.inline:
-        data = json.loads(args.inline)
-    elif args.input and args.input != "-":
-        with open(args.input) as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.inline:
+            data = json.loads(args.inline)
+        elif args.input and args.input != "-":
+            with open(args.input) as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise _bad("input", "is not JSON: %s" % exc) from None
     return decode(data, spec, "input", mode)
 
 
@@ -151,7 +154,9 @@ def _mode(args):
 
 # -- input specs -------------------------------------------------------------
 
-MATRIX = [[SCALAR]]
+# a matrix reads every row as a tuple as long as its first row
+MATRIX = lambda m: [(SCALAR,) * len(m[0])] if type(m) is list and m \
+    and type(m[0]) is list else [[SCALAR]]
 ALGEBRA = {"gram": MATRIX, "s": MATRIX, "lmul": [MATRIX], "unit?": [SCALAR]}
 MEASURE = {"atoms?": [(NUM, NUM)], "density?": lambda d: {"kind": STR, **{
     "free_poisson": {"lambda": NUM}, "semicircle": {"a": NUM, "b": NUM},
@@ -205,8 +210,7 @@ def _algebra(data, mode):
                      <= 1e-12 * max(1.0, np.linalg.norm(g)))
     if not hermitian:
         raise NotPsdError("algebra gram is not Hermitian")
-    ncps._check_psd(g, mode)
-    if sc.rank(g, mode) < alg.dim:
+    if len(sc.gram_pivots(g, mode)) < alg.dim:
         raise NotPsdError("algebra gram is not positive definite")
     return alg
 

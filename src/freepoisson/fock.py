@@ -462,17 +462,7 @@ def _adjoint_letter(fock, letter):
         return (flip[kind], payload)
     # gauge: adjoint w.r.t. the Gram inner product
     g = fock.gram
-    if fock.mode == sc.EXACT:
-        th = sc.conj(payload).T
-        cols = [sc.solve_gram(g, (th @ g)[:, j], fock.mode)
-                for j in range(fock.dim)]
-        adj = sc.zeros((fock.dim, fock.dim), fock.mode)
-        for j, col in enumerate(cols):
-            for i in range(fock.dim):
-                adj[i, j] = col[i]
-    else:
-        gf = sc.to_float_array(g)
-        adj = np.linalg.solve(gf, sc.to_float_array(payload).conj().T @ gf)
+    adj = sc.solve_gram(g, sc.conj(np.asarray(payload)).T @ g, fock.mode)
     return (kind, adj)
 
 

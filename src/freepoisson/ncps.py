@@ -453,8 +453,13 @@ def build_pseudo_algebra(cf, degree):
     """Quotient the word algebra by the null space of <w1,w2> = R(w1* w2).
 
     Requires a tracial functional (the null space is then a *-ideal) with
-    data up to order 2*(degree+1); multiplication must close at ``degree``,
-    detected by rank stabilization rank(Gram_d) == rank(Gram_{d+1}).
+    data up to order 2*(degree+1).  The words up to length degree+1 run by
+    length, and one elimination of their Gram (``_scalars.gram_pivots``)
+    picks the basis words: the pivots, each word independent of the words
+    before it modulo the null space.  Multiplication closes at ``degree``
+    iff no pivot is longer than ``degree``; otherwise NotClosingError.  An
+    indefinite Gram raises NotPsdError.  The left multiplications by the
+    generators and S are solved in the basis, one matrix solve each.
     """
     from .algebra import PseudoHilbertAlgebra, structure_constants
 
@@ -473,98 +478,41 @@ def build_pseudo_algebra(cf, degree):
     words = []
     for length in range(1, degree + 2):
         words.extend(tuple(w) for w in iproduct(cf.index_set, repeat=length))
-
-    def inner(w1, w2):
-        return cf.value(cf.star_word(w1) + w2)
+    index = {w: i for i, w in enumerate(words)}
 
     m = len(words)
     gram_all = sc.zeros((m, m), mode)
     for i in range(m):
         for j in range(m):
-            gram_all[i, j] = inner(words[i], words[j])
+            gram_all[i, j] = cf.value(cf.star_word(words[i]) + words[j])
 
-    idx_d = [i for i, w in enumerate(words) if len(w) <= degree]
-    gd = gram_all[np.ix_(idx_d, idx_d)]
-    rank_d = sc.rank(gd, mode)
-    rank_d1 = sc.rank(gram_all, mode)
-    if rank_d1 != rank_d:
+    pivots = sc.gram_pivots(gram_all, mode)
+    rank_d = sum(len(words[i]) <= degree for i in pivots)
+    if rank_d < len(pivots):
         raise NotClosingError(
             "multiplication does not close at degree %d "
-            "(rank %d -> %d)" % (degree, rank_d, rank_d1))
-    _check_psd(gram_all, mode)
-
-    # Greedy pivot words (restricted to length <= degree) spanning mod null.
-    pivots = []
-    for i in idx_d:
-        trial = pivots + [i]
-        sub = gram_all[np.ix_(trial, trial)]
-        if sc.rank(sub, mode) == len(trial):
-            pivots.append(i)
-        if len(pivots) == rank_d:
-            break
-    if len(pivots) != rank_d:
-        raise NotPsdError("failed to find a spanning set of pivot words")
+            "(rank %d -> %d)" % (degree, rank_d, len(pivots)))
 
     basis_words = [words[i] for i in pivots]
     gram_q = gram_all[np.ix_(pivots, pivots)]
 
-    def coords(word):
-        rhs = [inner(basis_words[j], word) for j in range(rank_d)]
-        return sc.solve_gram(gram_q, rhs, mode)
+    def coords(image):
+        """Column j: the coordinates of the word image(basis_words[j])."""
+        cols = [index[image(w)] for w in basis_words]
+        return sc.solve_gram(gram_q, gram_all[np.ix_(pivots, cols)], mode)
 
-    lmul = []
-    coord_cache = {w: coords(w) for w in basis_words}
-    gen_mats = {}
-    for g in cf.index_set:
-        mat = sc.zeros((rank_d, rank_d), mode)
-        for j, w in enumerate(basis_words):
-            col = coords((g,) + w)
-            for i in range(rank_d):
-                mat[i, j] = col[i]
-        gen_mats[g] = mat
+    gen_mats = {g: coords(lambda w: (g,) + w) for g in cf.index_set}
 
     # pi_l for each basis vector: compose generator actions along its word.
+    lmul = []
     for w in basis_words:
         mat = sc.eye(rank_d, mode)
         for g in reversed(w):
             mat = gen_mats[g] @ mat
         lmul.append(mat)
 
-    smat = sc.zeros((rank_d, rank_d), mode)
-    for j, w in enumerate(basis_words):
-        col = coords(cf.star_word(w))
-        for i in range(rank_d):
-            smat[i, j] = col[i]
-
     alg = PseudoHilbertAlgebra(
-        gram=gram_q, smat=smat,
+        gram=gram_q, smat=coords(cf.star_word),
         structure=structure_constants(lmul, rank_d, mode), mode=mode)
     alg.basis_words = basis_words
     return alg
-
-
-def _check_psd(gram, mode):
-    if mode == sc.EXACT:
-        # Schur-complement elimination: a rational symmetric matrix is PSD
-        # iff every pivot is >= 0 and zero-diagonal rows vanish entirely.
-        m = [list(r) for r in gram]
-        n = len(m)
-        for k in range(n):
-            if m[k][k] < 0:
-                raise NotPsdError("Gram matrix is not PSD (exact)")
-            if m[k][k] == 0:
-                if any(m[k][j] != 0 for j in range(k, n)):
-                    raise NotPsdError("Gram matrix is not PSD (exact)")
-                continue
-            pv = m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] / pv
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-    else:
-        h = sc.to_float_array(gram)
-        h = 0.5 * (h + h.conj().T)
-        ev = np.linalg.eigvalsh(h)
-        if ev.min() < -1e-9 * max(1.0, ev.max()):
-            raise NotPsdError("Gram matrix is not PSD (min eig %.3e)" % ev.min())

@@ -26,6 +26,8 @@ NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 100
 HANKEL_PSD_TOL = 1e-9
 STIELTJES_EPS = 1e-4
+# the JSON parameters of each density kind, in the order of its tuple
+_DENSITY_PARAMS = {"free_poisson": ("lambda",), "semicircle": ("a", "b")}
 
 
 @dataclass
@@ -79,27 +81,30 @@ class Measure:
     def to_json(self):
         obj = {"atoms": [[float(t), float(w)] for t, w in self.atoms]}
         if self.density is not None:
-            if self.density[0] == "free_poisson":
-                obj["density"] = {"kind": "free_poisson",
-                                  "lambda": float(self.density[1])}
-            else:
-                obj["density"] = {"kind": "semicircle",
-                                  "a": float(self.density[1]),
-                                  "b": float(self.density[2])}
+            kind, *values = self.density
+            obj["density"] = {"kind": kind, **dict(zip(
+                _DENSITY_PARAMS[kind], map(float, values)))}
         return obj
 
     @classmethod
     def from_json(cls, obj):
+        """The inverse of ``to_json``; a density whose kind is unknown or
+        that lacks a parameter raises ValidationError naming it."""
         atoms = [(float(t), float(w)) for t, w in obj.get("atoms", [])]
         density = None
         d = obj.get("density")
         if d:
-            if d["kind"] == "free_poisson":
-                density = ("free_poisson", float(d["lambda"]))
-            elif d["kind"] == "semicircle":
-                density = ("semicircle", float(d["a"]), float(d["b"]))
-            else:
-                raise ValidationError("unknown density kind %r" % d["kind"])
+            kind = d.get("kind")
+            if kind not in _DENSITY_PARAMS:
+                raise ValidationError("unknown density kind %r" % (kind,),
+                                      witness={"field": "density.kind"})
+            for key in _DENSITY_PARAMS[kind]:
+                if key not in d:
+                    raise ValidationError(
+                        "%s density is missing %r" % (kind, key),
+                        witness={"field": "density." + key})
+            density = (kind,) + tuple(float(d[key])
+                                      for key in _DENSITY_PARAMS[kind])
         return cls(atoms=atoms, density=density)
 
 

@@ -27,7 +27,9 @@ oracles run the library's recursion on the table's own scalars, with the
 same operations in the same order, where the library scales exact tables
 to integers.  The Cauchy quadrature oracle integrates a closed-form
 density against 1/(z - t) adaptively, where the library evaluates the
-density's Herglotz closed form.
+density's Herglotz closed form.  The Gram pivot oracle keeps a column
+when the determinant of the kept principal block, expanded by cofactors,
+stays nonzero, where the library runs one symmetric elimination.
 """
 
 import math
@@ -546,6 +548,29 @@ def dilation_second_quantize(t, wick_terms, L, dilation):
                       PROJECTIVE)
     p_fock = kron_powers(dil.p_n, L)
     return (p_fock @ op.sparse() @ p_fock.conj().T).toarray()
+
+
+# -- Gram pivots ----------------------------------------------------------------
+
+def cofactor_det(m):
+    """The determinant of a square list of Fractions, by cofactor expansion
+    along the first row (the empty matrix has determinant 1)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:]
+                                             for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def greedy_pivots(gram):
+    """Column i is kept iff the principal block on the kept columns and i
+    has a nonzero determinant."""
+    kept = []
+    for i in range(len(gram)):
+        trial = kept + [i]
+        if cofactor_det([[gram[r][c] for c in trial] for r in trial]):
+            kept = trial
+    return kept
 
 
 # -- Cauchy transform -----------------------------------------------------------

@@ -365,18 +365,32 @@ def _fock_truncation(truncation):
       json.dumps({**_TRIPLE, "rho": {"density": {"kind": "semicircle",
                                                  "a": 0.0}}})],
      "input.rho.density.b"),
+    (["fock", "moments", "--inline",
+      json.dumps({"algebra": {**_ALGEBRA_1, "gram": [[1, 0], [0]]},
+                  "words": [[1.0, 0.0]]})], "input.algebra.gram[1]"),
+    (["fock", "moments", "--inline",
+      json.dumps({"algebra": _ALGEBRA_1, "words": [[1.0]]})[:-9]], "input"),
 ], ids=["cum-zero-den", "fock-zero-den", "nc-list", "levy-rho-list",
         "dist-part-list", "dist-short-point", "cum-values-object",
         "scalar-three-entries", "scalar-bool", "number-bool",
         "truncation-float", "truncation-string", "levy-n-float",
         "variation-k-float", "nc-check-n-zero", "dist-density-no-lambda",
-        "levy-density-no-b"])
+        "levy-density-no-b", "ragged-gram", "truncated-json"])
 def test_malformed_input_exit_2(capsys, argv, field):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
     body = json.loads(err.strip().splitlines()[-1])
     assert body["code"] == "validation"
     assert body["witness"] == {"field": field}
+
+
+def test_truncated_json_names_the_decoder_position(capsys):
+    code, _, err = capture(capsys, ["nc", "check", "--inline",
+                                    '{"blocks": [[1, 2]'])
+    assert code == 2
+    assert json.loads(err)["message"] == (
+        "input is not JSON: Expecting ',' delimiter: line 1 column 19 "
+        "(char 18)")
 
 
 def test_variation_run_csv(capsys):

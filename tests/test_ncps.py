@@ -469,6 +469,40 @@ def test_pseudo_algebra_two_atoms_gives_function_algebra():
     assert abs(ev[0] - 2) < 1e-9 and abs(ev[1] - 5) < 1e-9
 
 
+def test_pseudo_algebra_two_atoms_in_float():
+    # the same data as floats: the float elimination finds the same basis
+    pts = [(2.0, 1 / 3), (5.0, 2 / 3)]
+    vals = {("x",) * k: sum(w * t ** k for t, w in pts) for k in range(1, 13)}
+    alg = build_pseudo_algebra(CumulantFunctional(["x"], vals, 12,
+                                                  tracial=True), 5)
+    assert alg.mode == sc.FLOAT and alg.dim == 2
+    assert alg.basis_words == [("x",), ("x", "x")]
+    ev = sorted(np.linalg.eigvals(alg.pi_l(alg.basis(0))).real)
+    assert abs(ev[0] - 2) < 1e-9 and abs(ev[1] - 5) < 1e-9
+
+
+def test_pseudo_algebra_of_integer_data_stays_exact():
+    # int cumulants run the elimination on Fractions: int / int would be
+    # a float division, whose rounding reads as rank
+    vals = {("x",) * k: 2 ** k + 2 * 5 ** k for k in range(1, 13)}
+    alg = build_pseudo_algebra(CumulantFunctional(["x"], vals, 12,
+                                                  tracial=True), 5)
+    assert alg.mode == sc.EXACT and alg.dim == 2
+    assert all(type(x) is F for x in alg.smat.ravel())
+    lx = alg.pi_l(alg.basis(0))
+    assert sorted(np.linalg.eigvals(sc.to_float_array(lx)).real) \
+        == pytest.approx([2, 5])
+
+
+@pytest.mark.parametrize("labels", [["x"], ["x", "y"]])
+def test_pseudo_algebra_of_the_zero_functional_is_zero(labels):
+    vals = {w: F(0) for k in range(1, 7) for w in product(labels, repeat=k)}
+    alg = build_pseudo_algebra(CumulantFunctional(labels, vals, 6,
+                                                  tracial=True), 2)
+    assert alg.dim == 0 and alg.basis_words == []
+    assert alg.gram.shape == alg.smat.shape == (0, 0)
+
+
 def test_pseudo_algebra_def_condition_2():
     lam = F(2)
     cf = CumulantFunctional.constant(lam, 12)

@@ -48,6 +48,28 @@ def test_cauchy_at_atom_rejected():
         tr.cauchy_transform(m, 1.0)
 
 
+def test_measure_json_roundtrip():
+    for m in (tr.free_poisson_measure(0.7),
+              tr.Measure(atoms=[(-1.0, 0.4)],
+                         density=("semicircle", 0.5, 1.2))):
+        assert tr.Measure.from_json(m.to_json()) == m
+
+
+@pytest.mark.parametrize("density, key, message", [
+    ({"kind": "free_poisson"}, "lambda",
+     "free_poisson density is missing 'lambda'"),
+    ({"kind": "semicircle", "a": 0.0}, "b",
+     "semicircle density is missing 'b'"),
+    ({"lambda": 1.0}, "kind", "unknown density kind None"),
+    ({"kind": "cauchy"}, "kind", "unknown density kind 'cauchy'"),
+])
+def test_measure_from_json_names_a_missing_key(density, key, message):
+    # a ValidationError, where a bare KeyError escaped before
+    with pytest.raises(ValidationError, match=message) as info:
+        tr.Measure.from_json({"density": density})
+    assert info.value.witness == {"field": "density." + key}
+
+
 def test_nevanlinna_property():
     rng = np.random.default_rng(0)
     measures = [tr.free_poisson_measure(0.7),
