@@ -5,7 +5,8 @@ arrays; float mode uses ``complex128``.  Every question the package asks
 of a Gram matrix (is it PSD, which columns are independent of the ones
 before them, what are the coordinates of a vector) is answered here by
 one symmetric elimination in index order, the same in both modes, so the
-rest of the package can stay mode-agnostic.
+rest of the package can stay mode-agnostic.  Float PSD decisions on a
+spectrum (Choi, CP gaps, Stinespring Gram, density) use one spectral gate.
 """
 
 from fractions import Fraction
@@ -96,7 +97,8 @@ def _eliminate(gram, mode, rhs=None):
         if p <= zero:
             if p < -zero or np.any(np.abs(a[k, k + 1:n]) ** 2
                                    > zero * diag[k + 1:]):
-                raise NotPsdError("Gram matrix is not PSD (pivot %d)" % k)
+                raise NotPsdError("Gram matrix is not PSD (pivot %d)" % k,
+                                  witness={"pivot": k})
             continue
         pivots.append(k)
         a[k + 1:, k:] -= np.outer(a[k + 1:, k] / p, a[k, k:])
@@ -133,6 +135,33 @@ def solve_gram(gram, rhs, mode):
     for k in reversed(range(n)):
         c[k] = (c[k] - a[k, k + 1:n] @ c[k + 1:]) / a[k, k]
     return c.reshape(np.shape(rhs))
+
+
+def spectral_gate(what, a, b=None, require=None):
+    """The one rule of float PSD decisions, on a Hermitian ``a`` or ``a - b``.
+
+    Returns the ascending eigenvalues, the eigenvectors as columns, the mask
+    of the eigenvalues above the zero band |lambda| <= PIVOT_TOL * scale,
+    and the slack lambda_min / scale.  The scale is the largest |lambda| of
+    the matrix, or of either term of a difference.  NotPsdError naming
+    ``what``, with the slack as witness, is raised for an anti-Hermitian
+    entry past the band, and when ``require`` is "PSD" (slack >=
+    -PIVOT_TOL) or "positive definite" (no eigenvalue in the band) and fails.
+    """
+    d = np.asarray(a if b is None else a - b, dtype=complex)
+    ev, vec = np.linalg.eigh(0.5 * (d + d.conj().T))
+    scale = (np.abs(ev).max(initial=0.0) if b is None
+             else max(np.linalg.norm(t, 2) for t in (a, b)))
+    keep = ev > PIVOT_TOL * scale
+    slack = float(ev[0] / scale) if scale else 0.0
+    if np.abs(d - d.conj().T).max(initial=0.0) > PIVOT_TOL * scale:
+        require = "Hermitian"
+    elif keep.all() or require == "PSD" and slack >= -PIVOT_TOL:
+        require = None
+    if require:
+        raise NotPsdError("%s is not %s" % (what, require),
+                          witness={"slack": slack})
+    return ev, vec, keep, slack
 
 
 def to_float_array(a):

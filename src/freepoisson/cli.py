@@ -43,9 +43,7 @@ def encode_scalar(x, mode):
         f = Fraction(x)
         return {"num": f.numerator, "den": f.denominator}
     x = complex(x)
-    if x.imag == 0:
-        return x.real
-    return [x.real, x.imag]
+    return x.real if x.imag == 0 else [x.real, x.imag]
 
 
 def encode_matrix(m, mode):
@@ -116,19 +114,26 @@ def decode(value, spec, path, mode=None):
     return value
 
 
-def _input(args, spec, mode=None):
-    """The request's JSON (--inline, --input path or stdin) read by spec."""
+def _parse(parse, text, path, what):
+    """parse(text); a ValueError or ArithmeticError names ``path``."""
     try:
-        if args.inline:
-            data = json.loads(args.inline)
-        elif args.input and args.input != "-":
-            with open(args.input) as fh:
-                data = json.load(fh)
-        else:
-            data = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise _bad("input", "is not JSON: %s" % exc) from None
-    return decode(data, spec, "input", mode)
+        return parse(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise _bad(path, "%s: %s" % (what, exc)) from None
+
+
+def _input(args, spec, mode=None):
+    """The request's JSON read by spec: --inline or --input if given at all
+    (even empty), else stdin; bytes that are not UTF-8 are bad JSON."""
+    if args.inline is not None:
+        text = args.inline
+    elif args.input not in (None, "-"):
+        with open(args.input, "rb") as fh:
+            text = fh.read()
+    else:
+        text = sys.stdin.buffer.read()
+    return decode(_parse(json.loads, text, "input", "is not JSON"), spec,
+                  "input", mode)
 
 
 def _emit(args, payload):
@@ -203,12 +208,9 @@ def _algebra(data, mode):
         gram=data["gram"], smat=data["s"], structure=structure,
         unit=data.get("unit") or None, mode=mode)
     g = alg.gram
-    if mode == sc.EXACT:
-        hermitian = np.all(g == g.T)
-    else:
-        hermitian = (np.linalg.norm(g - g.conj().T)
-                     <= 1e-12 * max(1.0, np.linalg.norm(g)))
-    if not hermitian:
+    if mode == sc.FLOAT:
+        sc.spectral_gate("algebra gram", g)     # its Hermitian test
+    elif not np.all(g == g.T):
         raise NotPsdError("algebra gram is not Hermitian")
     if len(sc.gram_pivots(g, mode)) < alg.dim:
         raise NotPsdError("algebra gram is not positive definite")
@@ -291,7 +293,7 @@ def _levy_recover(args):
         _input(args, {"kappa": [NUM]})["kappa"])
     if not verdict.fid:
         raise ValidationError("not freely infinitely divisible at this order",
-                              witness={"min_eig": verdict.hankel_min_eig})
+                              witness={"pivot": verdict.pivot})
     return {"triple": triple.to_json(), "rank": verdict.rank}
 
 
@@ -335,10 +337,11 @@ def _cp_gamma(args):
 
 
 def _classify_filtration(args):
-    if args.input or args.inline:
+    if args.input is not None or args.inline is not None:
         triple = tr.LevyTriple.from_json(_input(args, TRIPLE))
     else:
-        atoms = decode(json.loads(args.rho), [(NUM, NUM)], "--rho")
+        atoms = decode(_parse(json.loads, args.rho, "--rho", "is not JSON"),
+                       [(NUM, NUM)], "--rho")
         triple = tr.LevyTriple(a=args.a, b=args.b,
                                rho=tr.Measure(atoms=atoms))
     return classify.filtration_classify(
@@ -346,7 +349,8 @@ def _classify_filtration(args):
 
 
 def _classify_freedim(args):
-    val = classify.freedim_combine(args.n, Fraction(args.alpha))
+    val = classify.freedim_combine(args.n, _parse(
+        Fraction, args.alpha, "--alpha", "is not a rational number"))
     return {"value": encode_scalar(val, sc.EXACT), "equals_two_alpha": True}
 
 
@@ -372,8 +376,9 @@ VERBS = {
     "cp": {"check": _cp_check, "dual": _cp_dual, "gamma": _cp_gamma},
     "classify": {
         "filtration": _classify_filtration, "freedim": _classify_freedim,
-        "poisson": lambda a: classify.poisson_filtration(
-            Fraction(a.alpha)).to_json()},
+        "poisson": lambda a: classify.poisson_filtration(_parse(
+            lambda t: float(Fraction(t)), a.alpha, "--alpha",
+            "is not a rational number")).to_json()},
     "variation": {"run": _variation_run},
 }
 
@@ -435,9 +440,9 @@ def run(argv):
         err, code = {"code": "io", "message": str(exc)}, 3
     except (LookupError, ArithmeticError, AttributeError, ValueError,
             TypeError) as exc:
-        # bad JSON, or values of the declared types that the library cannot
-        # use, such as a ragged matrix or a float overflow
-        err, code = {"code": "validation", "message": "bad input: %s" % exc}, 2
+        # the safety net: an input that no check refused made the library
+        # fail; exit 2 with a JSON error, never a traceback
+        err, code = {"code": "unchecked", "message": "bad input: %s" % exc}, 2
     sys.stderr.write(json.dumps(err) + "\n")
     return code
 

@@ -123,7 +123,7 @@ class GnsAlgebra(PseudoHilbertAlgebra):
         return out
 
     # Delta and J are built on first use: most callers of a float space
-    # need only the Gram, and each needs one eigh per block
+    # need only the Gram, and each needs the powers of every density block
 
     @cached_property
     def _powers(self):

@@ -59,32 +59,23 @@ class NcProbSpace:
             if b.shape != (d, d):
                 raise ShapeError("density block shape %s != (%d, %d)"
                                  % (b.shape, d, d))
-        self._check_positive()
+        if mode == sc.EXACT and any(b[0, 0] <= 0 for b in self.density):
+            raise NotPsdError("density is not positive definite")
+        self._spectra = None if mode == sc.EXACT else self._gate()
 
-    def _check_positive(self):
-        for b in self.density:
-            if self.mode == sc.EXACT:
-                if b[0, 0] <= 0:
-                    raise NotPsdError("density is not positive definite")
-            else:
-                h = 0.5 * (b + b.conj().T)
-                if np.linalg.norm(b - h) > 1e-12 * max(1.0, np.linalg.norm(b)):
-                    raise NotPsdError("density block is not Hermitian")
-                if np.linalg.eigvalsh(h).min() <= 0:
-                    raise NotPsdError("density is not positive definite")
+    def _gate(self):
+        """Per block, the spectral gate's (eigenvalues, eigenvectors) of the
+        float density, which must be positive definite."""
+        return [sc.spectral_gate("density", sc.to_float_array(b),
+                                 require="positive definite")[:2]
+                for b in self.density]
 
     def density_powers(self):
         """Per block, the float (rho^{1/2}, rho^{-1/2}, rho^{-1})."""
-        out = []
-        for b in self.density:
-            rho = sc.to_float_array(b)
-            ev, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-            if ev.min() <= 0:
-                raise ValidationError("density not faithful")
-            out.append(((vec * np.sqrt(ev)) @ vec.conj().T,
-                        (vec / np.sqrt(ev)) @ vec.conj().T,
-                        (vec / ev) @ vec.conj().T))
-        return out
+        return [((vec * np.sqrt(ev)) @ vec.conj().T,
+                 (vec / np.sqrt(ev)) @ vec.conj().T,
+                 (vec / ev) @ vec.conj().T)
+                for ev, vec in self._spectra or self._gate()]
 
     def total_weight(self):
         """phi(1) = trace(rho)."""

@@ -30,25 +30,23 @@ the L^2-compression T2.
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import _scalars as sc
 from .algebra import PseudoHilbertAlgebra, structure_constants
-from .errors import (DomainError, NotPsdError, ShapeError, TruncationError,
-                     ValidationError)
+from .errors import DomainError, ShapeError, TruncationError, ValidationError
 from .fock import (PROJECTIVE, FockSpace, GnsAlgebra, transport, wick,
                    wick_words)
 from .ncps import NcProbSpace
 
-GRAM_NULL_RTOL = 1e-9
 COISOMETRY_TOL = 1e-10
 
 
 def _embed(space, x):
     """Block element -> ambient full matrix."""
-    n = sum(space.block_dims)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((sum(space.block_dims),) * 2, dtype=complex)
     o = 0
     for d, b in zip(space.block_dims, x):
         out[o:o + d, o:o + d] = sc.to_float_array(b)
@@ -58,12 +56,8 @@ def _embed(space, x):
 
 def _compress(space, mat):
     """Ambient matrix -> block element (conditional expectation)."""
-    out = []
-    o = 0
-    for d in space.block_dims:
-        out.append(np.array(mat[o:o + d, o:o + d], dtype=complex))
-        o += d
-    return out
+    o = [0, *accumulate(space.block_dims)]
+    return [np.array(mat[a:b, a:b], dtype=complex) for a, b in zip(o, o[1:])]
 
 
 class L2Space:
@@ -142,15 +136,13 @@ class CpMap:
                                  % (k.shape, dn, dm))
 
     def apply(self, x):
-        xm = _embed(self.source, x)
-        out = np.zeros((sum(self.target.block_dims),) * 2, dtype=complex)
+        xm, out = _embed(self.source, x), _embed(self.target, [])
         for k in self.kraus:
             out += k @ xm @ k.conj().T
         return _compress(self.target, out)
 
     def trace_adjoint(self, z):
-        zm = _embed(self.target, z)
-        out = np.zeros((sum(self.source.block_dims),) * 2, dtype=complex)
+        zm, out = _embed(self.target, z), _embed(self.source, [])
         for k in self.kraus:
             out += k.conj().T @ zm @ k
         return _compress(self.source, out)
@@ -163,12 +155,8 @@ class CpMap:
         """L^2 compression eta(m) -> eta(T(m)) in onb coordinates."""
         l2m = l2m or L2Space(self.source)
         l2n = l2n or L2Space(self.target)
-        cols = []
-        for k in range(l2m.dim):
-            e = np.zeros(l2m.dim, dtype=complex)
-            e[k] = 1.0
-            cols.append(l2n.to_onb(self.apply(l2m.from_onb(e))))
-        return np.array(cols).T
+        return np.array([l2n.to_onb(self.apply(l2m.from_onb(e)))
+                         for e in np.eye(l2m.dim, dtype=complex)]).T
 
     @classmethod
     def from_choi(cls, source, target, choi):
@@ -176,17 +164,10 @@ class CpMap:
         dn = sum(target.block_dims)
         if choi.shape != (dm * dn, dm * dn):
             raise ShapeError("Choi matrix has wrong shape")
-        h = 0.5 * (choi + choi.conj().T)
-        ev, vec = np.linalg.eigh(h)
-        if ev.min() < -1e-9 * max(1.0, ev.max()):
-            raise NotPsdError("Choi matrix is not PSD",
-                              witness={"min_eig": float(ev.min())})
-        kraus = []
-        for lam, w in zip(ev, vec.T):
-            if lam > 1e-12:
-                kraus.append(math.sqrt(lam) *
-                             w.reshape(dm, dn).T)
-        return cls(source, target, kraus)
+        ev, vec, keep, _ = sc.spectral_gate("Choi matrix", choi,
+                                            require="PSD")
+        return cls(source, target, [math.sqrt(lam) * w.reshape(dm, dn).T
+                                    for lam, w in zip(ev[keep], vec.T[keep])])
 
     @classmethod
     def scalar(cls, space, lam):
@@ -217,31 +198,26 @@ class AdmissibilityReport:
 
 
 def check_admissible(t):
-    """CP / subunital / weight-decreasing booleans with witnesses."""
-    tol = 1e-10
-    witnesses = {}
-    choi = t.choi()
-    ev, vec = np.linalg.eigh(0.5 * (choi + choi.conj().T))
-    cp = bool(ev.min() >= -1e-9 * max(1.0, abs(ev).max()))
-    if not cp:
-        witnesses["cp"] = vec[:, 0]
+    """CP / subunital / weight-decreasing booleans with witnesses.
 
+    Each is the spectral gate's PSD verdict: on the Choi matrix, on
+    1 - T(1) and on rho_M - Tt(rho_N); a failing one's witness is the
+    eigenvector of its lowest eigenvalue.
+    """
     one = _embed(t.target, t.apply(t.source.identity()))
-    gap = np.eye(one.shape[0]) - one
-    ev, vec = np.linalg.eigh(0.5 * (gap + gap.conj().T))
-    subunital = bool(ev.min() >= -tol)
-    if not subunital:
-        witnesses["subunital"] = vec[:, 0]
-
-    dual_density = _embed(t.source, t.trace_adjoint(
-        [b for b in t.target.density]))
-    rho = _embed(t.source, t.source.density)
-    diff = rho - dual_density
-    ev, vec = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-    weight_dec = bool(ev.min() >= -tol)
-    if not weight_dec:
-        witnesses["weight_decreasing"] = vec[:, 0]
-    return AdmissibilityReport(cp, subunital, weight_dec, witnesses)
+    gates = {"cp": ("Choi matrix", t.choi()),
+             "subunital": ("1 - T(1)", np.eye(len(one)), one),
+             "weight_decreasing": ("rho - T*(rho)",
+                                   _embed(t.source, t.source.density),
+                                   _embed(t.source, t.trace_adjoint(
+                                       t.target.density)))}
+    verdicts, witnesses = {}, {}
+    for key, args in gates.items():
+        _, vec, _, slack = sc.spectral_gate(*args)
+        verdicts[key] = slack >= -sc.PIVOT_TOL
+        if not verdicts[key]:
+            witnesses[key] = vec[:, 0]
+    return AdmissibilityReport(**verdicts, witnesses=witnesses)
 
 
 def biweight(space, x, y):
@@ -323,13 +299,9 @@ def stinespring_bimodule(t, l2m=None, l2n=None):
             gram[a1 * dn:(a1 + 1) * dn,
                  a2 * dn:(a2 + 1) * dn] = an.gram @ an.pi_l(tv)
 
-    ev, vec = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    if ev.min() < -GRAM_NULL_RTOL * max(1.0, abs(ev).max()):
-        raise NotPsdError("Stinespring Gram matrix is not PSD",
-                          witness={"min_eig": float(ev.min())})
-    keep = ev > GRAM_NULL_RTOL * max(1.0, abs(ev).max())
-    lam = ev[keep]
-    v = vec[:, keep]
+    ev, vec, keep, _ = sc.spectral_gate("Stinespring Gram", gram,
+                                        require="PSD")
+    lam, v = ev[keep], vec[:, keep]
     project = (np.sqrt(lam)[:, None] * v.conj().T)
     unproject = v / np.sqrt(lam)[None, :]
     r = int(keep.sum())

@@ -15,16 +15,17 @@ chi_[-1,1].
 
 import math
 from dataclasses import dataclass, field
+from numbers import Rational
 from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergenceError, ShapeError,
-                     ValidationError)
+from . import _scalars as sc
+from .errors import (DomainError, NonConvergenceError, NotPsdError,
+                     ShapeError, ValidationError)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 100
-HANKEL_PSD_TOL = 1e-9
 STIELTJES_EPS = 1e-4
 # the JSON parameters of each density kind, in the order of its tuple
 _DENSITY_PARAMS = {"free_poisson": ("lambda",), "semicircle": ("a", "b")}
@@ -120,8 +121,8 @@ def free_poisson_density(lam, x):
     on [(sqrt(lam)-1)^2, (sqrt(lam)+1)^2], and the atom at zero carries
     max(1-lam, 0).  Total mass is one.
     """
-    if lam <= 0:
-        raise DomainError("rate must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("rate must be positive and finite")
     atom = max(1.0 - lam, 0.0)
     lo, hi = free_poisson_support(lam)
     x = float(x)
@@ -337,19 +338,21 @@ def cumulants_from_triple(triple, n_max):
 class FidVerdict:
     fid: bool
     reason: str = ""
-    hankel_min_eig: float = 0.0
     rank: int = 0
+    pivot: Optional[int] = None     # the Hankel column that fails the gate
 
 
 def recover_triple_from_cumulants(kappas):
     """Rebuild (a, b, rho) from kappa_1..kappa_{2m+2}.
 
-    The canonical measure sigma has moments sigma_k = kappa_{k+2}; its
-    Hankel matrix must be PSD for the sequence to be freely infinitely
-    divisible at this order.  Atoms of sigma are extracted by the
-    quadrature pencil; mass at zero becomes b^2, an atom (t, v) becomes a
-    Levy atom (t, v / t^2), and the drift is kappa_1 minus the large-jump
-    correction.
+    The canonical measure sigma has moments sigma_k = kappa_{k+2}.  The
+    sequence is freely infinitely divisible at this order iff the Hankel
+    matrix of sigma is PSD and its pivots (``_scalars.gram_pivots``, exact
+    when every kappa is rational) are 0..r-1: a later pivot leaves no
+    representing measure.  Atoms of sigma come from the quadrature pencil
+    on the leading r x r block; mass at zero becomes b^2, an atom (t, v)
+    becomes a Levy atom (t, v / t^2), and the drift is kappa_1 minus the
+    large-jump correction.
     """
     if len(kappas) < 2 or len(kappas) % 2 != 0:
         raise ShapeError("need kappa_1..kappa_{2m+2} (even count >= 2)")
@@ -357,30 +360,29 @@ def recover_triple_from_cumulants(kappas):
     if m > 5:
         raise DomainError("m capped at 5")
     sigma = [float(k) for k in kappas[1:]]          # sigma_k = kappa_{k+2}
-    h = np.array([[sigma[i + j] for j in range(m + 1)] for i in range(m + 1)])
-    ev = np.linalg.eigvalsh(0.5 * (h + h.T))
-    scale = max(1.0, float(ev.max())) if ev.size else 1.0
-    if ev.min() < -HANKEL_PSD_TOL * scale:
-        return None, FidVerdict(False, "Hankel matrix of the canonical "
-                                "measure is not PSD", float(ev.min()), 0)
-    tol = max(HANKEL_PSD_TOL * scale, 1e-12)
-    rank = int(np.sum(np.linalg.svd(h, compute_uv=False) > tol))
+    refuse = lambda why, pivot: (None, FidVerdict(
+        False, "Hankel matrix of the canonical measure " + why, 0, pivot))
+    try:
+        pivots = sc.gram_pivots(
+            [[kappas[1 + i + j] for j in range(m + 1)] for i in range(m + 1)],
+            sc.EXACT if all(isinstance(k, Rational) for k in kappas)
+            else sc.FLOAT)
+    except NotPsdError as exc:
+        return refuse("is not PSD", exc.witness["pivot"])
+    rank = len(pivots)
+    if pivots != list(range(rank)):
+        return refuse("has no representing measure",
+                      next(k for k, p in enumerate(pivots) if k != p))
     if rank > m:
         raise DomainError("canonical measure rank %d exceeds m=%d; "
                           "insufficient cumulant data" % (rank, m))
-    if rank == 0:
-        nodes, weights = np.array([]), np.array([])
-    else:
-        h0 = np.array([[sigma[i + j] for j in range(rank)]
-                       for i in range(rank)])
-        h1 = np.array([[sigma[i + j + 1] for j in range(rank)]
-                       for i in range(rank)])
-        from scipy.linalg import eigh
-        # symmetric-definite pencil: h0 is PD on the numerical range
-        nodes = eigh(0.5 * (h1 + h1.T), 0.5 * (h0 + h0.T),
-                     eigvals_only=True)
-        v = np.vander(nodes, rank, increasing=True).T
-        weights = np.linalg.solve(v, np.array(sigma[:rank]))
+    from scipy.linalg import eigh
+    hankel = lambda s: np.array([[sigma[s + i + j] for j in range(rank)]
+                                 for i in range(rank)]).reshape(rank, rank)
+    # symmetric-definite pencil: the leading block is positive definite
+    nodes = eigh(hankel(1), hankel(0), eigvals_only=True)
+    weights = np.linalg.solve(np.vander(nodes, rank, increasing=True).T,
+                              np.array(sigma[:rank]))
     wtol = 1e-9 * max(1.0, abs(sigma[0]))
     b2 = 0.0
     rho_atoms = []
@@ -398,8 +400,7 @@ def recover_triple_from_cumulants(kappas):
     a = float(kappas[0]) - sum(w * t for t, w in rho_atoms if abs(t) > 1)
     triple = LevyTriple(a=a, b=math.sqrt(max(b2, 0.0)),
                         rho=Measure(atoms=rho_atoms))
-    verdict = FidVerdict(True, "ok", float(ev.min()), rank)
-    return triple, verdict
+    return triple, FidVerdict(True, "ok", rank)
 
 
 # -- free additive convolution ----------------------------------------------

@@ -556,6 +556,71 @@ def test_non_convergence_exit_4(capsys, monkeypatch):
     assert json.loads(err)["code"] == "non_convergence"
 
 
+def test_non_hermitian_choi_exit_2(capsys):
+    # a 2-dim source and a 1-dim target: the Choi matrix is 2 x 2, and
+    # [[1, 2], [0, 1]] is refused rather than read as its Hermitian part
+    space = {"blocks": [1, 1], "density": [[[0.5]], [[0.5]]]}
+    payload = {"source": space, "target": {"blocks": [1],
+                                           "density": [[[1.0]]]},
+               "form": "choi", "choi": [[1, 2], [0, 1]]}
+    for op in ("check", "dual"):
+        code, out, err = capture(capsys, ["cp", op, "--inline",
+                                          json.dumps(payload)])
+        assert code == 2 and out == ""
+        body = json.loads(err)
+        assert body["code"] == "not_psd"
+        assert body["message"] == "Choi matrix is not Hermitian"
+        assert set(body["witness"]) == {"slack"}
+
+
+def test_empty_inline_is_bad_json_and_reads_no_stdin(capsys, monkeypatch):
+    class Unread:
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    for argv in (["nc", "check"], ["classify", "filtration"]):
+        code, out, err = capture(capsys, argv + ["--inline", ""])
+        assert code == 2 and out == ""
+        body = json.loads(err)
+        assert body["code"] == "validation"
+        assert body["witness"] == {"field": "input"}
+        assert body["message"].startswith("input is not JSON")
+
+
+@pytest.mark.parametrize("argv, code, witness", [
+    (["levy", "recover", "--inline", '{"kappa": [0, 0, 1, 0, 0, 0]}'],
+     "validation", {"pivot": 0}),
+    (["levy", "recover", "--inline", '{"kappa": [0, 1, 0, 0, 0, 1]}'],
+     "validation", {"pivot": 1}),
+    (["classify", "poisson", "--alpha", "1e400"], "validation",
+     {"field": "--alpha"}),
+    (["classify", "freedim", "--n", "2", "--alpha", "1/0"], "validation",
+     {"field": "--alpha"}),
+    (["classify", "filtration", "--rho", "[1,"], "validation",
+     {"field": "--rho"}),
+    (["dist", "density", "--lambda", "nan"], "domain", None),
+    (["dist", "density", "--lambda", "inf"], "domain", None),
+], ids=["hankel-not-psd", "hankel-no-measure", "alpha-overflow",
+        "alpha-zero-den", "rho-not-json", "lambda-nan", "lambda-inf"])
+def test_checked_errors_name_their_witness(capsys, argv, code, witness):
+    # each of these reached the catch-all (or no check at all) before
+    got, out, err = capture(capsys, argv)
+    assert got == 2 and out == ""
+    body = json.loads(err)
+    assert body["code"] == code and body.get("witness") == witness
+
+
+def test_input_file_that_is_not_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"blocks": [[1, 2]], "n": "\xff"}')
+    code, out, err = capture(capsys, ["nc", "check", "--input", str(path)])
+    assert code == 2 and out == ""
+    body = json.loads(err)
+    assert body["code"] == "validation" and body["witness"] == {"field": "input"}
+    assert body["message"].startswith("input is not JSON: 'utf-8' codec")
+
+
 def test_io_error_exit_3(capsys):
     code, _, err = capture(capsys, ["nc", "kreweras", "--input",
                                     "/nonexistent/path.json"])

@@ -100,7 +100,10 @@ def _contract(argv):
     assert code in (0, 2, 3, 4), (argv, code, text)
     assert "Traceback" not in text, (argv, text)
     if code:
-        assert "code" in json.loads(text.strip().splitlines()[-1]), argv
+        body = json.loads(text.strip().splitlines()[-1])
+        assert "code" in body, argv
+        # every malformed input is refused by a check, not by the safety net
+        assert body["code"] != "unchecked", (argv, body)
 
 
 @st.composite

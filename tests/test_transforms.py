@@ -2,9 +2,11 @@
 Levy-Khintchine evaluation, splitting, recovery, and free convolution."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freepoisson import transforms as tr
 from freepoisson.errors import DomainError, ValidationError
@@ -295,6 +297,50 @@ def test_recover_rejects_non_fid():
     # kappa_3 alone violates Hankel positivity
     t, verdict = tr.recover_triple_from_cumulants([0, 0, 1, 0, 0, 0])
     assert t is None and not verdict.fid
+
+
+def test_recover_refuses_a_psd_hankel_without_a_representing_measure():
+    # sigma = (1, 0, 0, 0, 1) has a PSD Hankel with pivots 0 and 2; sigma_2
+    # = 0 would make sigma the point mass at 0, whose sigma_4 is 0
+    t, verdict = tr.recover_triple_from_cumulants([0, 1, 0, 0, 0, 1])
+    assert t is None and not verdict.fid and verdict.pivot == 1
+    assert verdict.reason.endswith("has no representing measure")
+    t, verdict = tr.recover_triple_from_cumulants([0, 0, 1, 0, 0, 0])
+    assert verdict.reason.endswith("is not PSD") and verdict.pivot == 0
+
+
+def test_recover_counts_a_gaussian_part_beside_a_small_atom():
+    # sigma has mass at 0 and an atom at 0.1416: an SVD rank with an
+    # absolute floor counted 3 of its 4 atoms and returned b = 0 with an
+    # atom at 0.003 of weight 4e4
+    t = tr.LevyTriple(a=0.37, b=0.655, rho=tr.Measure(
+        atoms=[(2.967, 0.954), (2.115, 1.339), (0.1416, 0.633)]))
+    got, verdict = tr.recover_triple_from_cumulants(
+        tr.cumulants_from_triple(t, 12))
+    assert verdict.fid and verdict.rank == 4
+    assert abs(got.b - t.b) < 1e-6 and abs(got.a - t.a) < 1e-6
+    for (lg, wg), (lw, ww) in zip(sorted(got.rho.atoms),
+                                  sorted(t.rho.atoms)):
+        assert abs(lg - lw) < 1e-6 and abs(wg - ww) < 1e-6
+
+
+_LOC = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda t: t != 0)
+_MASS = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_LOC, max_size=4, unique=True), st.data())
+def test_exact_kappas_recover_rank_atoms_plus_gaussian(locs, data):
+    """k distinct nonzero atoms and a Gaussian part give sigma k + 1 atoms;
+    rational kappas take the exact elimination, which finds all of them."""
+    triple = tr.LevyTriple(
+        a=data.draw(_MASS), b=data.draw(_MASS),
+        rho=tr.Measure(atoms=[(t, data.draw(_MASS)) for t in locs]))
+    kappas = tr.cumulants_from_triple(triple, 12)
+    assert all(isinstance(k, (int, F)) for k in kappas)
+    _, verdict = tr.recover_triple_from_cumulants(kappas)
+    assert verdict.fid and verdict.rank == len(locs) + 1
 
 
 # -- free convolution ----------------------------------------------------------------
