@@ -164,8 +164,11 @@ class CpMap:
         dn = sum(target.block_dims)
         if choi.shape != (dm * dn, dm * dn):
             raise ShapeError("Choi matrix has wrong shape")
-        ev, vec, keep, _ = sc.spectral_gate("Choi matrix", choi,
-                                            require="PSD")
+        ev, vec, _, _ = sc.spectral_gate("Choi matrix", choi, require="PSD")
+        # the gate decides PSD; the Kraus family drops only what rounding
+        # can produce, so the map is reproduced to rounding and not merely
+        # to the gate's band
+        keep = ev > len(ev) * np.finfo(float).eps * np.abs(ev).max(initial=0.0)
         return cls(source, target, [math.sqrt(lam) * w.reshape(dm, dn).T
                                     for lam, w in zip(ev[keep], vec.T[keep])])
 
