@@ -383,6 +383,14 @@ VERBS = {
 }
 
 
+def finite(text):
+    """argparse type of the float options: nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors end with a JSON error line and exit 2, like the rest."""
 
@@ -411,16 +419,17 @@ def build_parser():
         verb[name].add_argument("op", choices=list(ops))
     verb["nc"].add_argument("--n", type=int, default=None)
     verb["dist"].add_argument("--law", default="free_poisson")
-    verb["dist"].add_argument("--lambda", dest="lam", type=float, default=1.0)
-    verb["dist"].add_argument("--x", type=float, default=0.0)
+    verb["dist"].add_argument("--lambda", dest="lam", type=finite,
+                              default=1.0)
+    verb["dist"].add_argument("--x", type=finite, default=0.0)
     verb["levy"].add_argument("--n", type=int, default=None)
     cl = verb["classify"]
     cl.add_argument("--n", type=int, default=1)
     cl.add_argument("--alpha", default="1")
-    cl.add_argument("--a", type=float, default=0.0)
-    cl.add_argument("--b", type=float, default=0.0)
+    cl.add_argument("--a", type=finite, default=0.0)
+    cl.add_argument("--b", type=finite, default=0.0)
     cl.add_argument("--rho", default="[]")
-    cl.add_argument("--t", type=float, default=1.0)
+    cl.add_argument("--t", type=finite, default=1.0)
     cl.add_argument("--rho-infinite", action="store_true")
     verb["variation"].add_argument("--csv", action="store_true")
     return p

@@ -5,7 +5,7 @@ transform C(z) = z G^{-1}(z) - 1 by damped Newton inversion, the
 Marchenko-Pastur (free Poisson) family, the free Levy-Khintchine formula
 for atomic Levy measures, the Levy-Ito splitting, triple <-> cumulant
 conversion with a Hankel positivity gate, and free additive convolution
-with Stieltjes density recovery.
+by subordination, with Stieltjes density recovery.
 
 All Levy measures are finite atomic, so every integral is a finite sum and
 the splitting is exact.  Atoms with |t| <= 1 sit in the compensated part;
@@ -163,43 +163,38 @@ def cauchy_transform(measure, z):
     Herglotz form.  Real z inside a density's support returns the boundary
     value from above (principal value minus i pi f(x)).
     """
+    return _cauchy_pair(measure, z)[0]
+
+
+def _cauchy_pair(measure, z):
+    """G(z) and G'(z), both in closed form."""
     z = complex(z)
-    total = 0j
+    g = dg = 0j
     for t, w in measure.atoms:
         if z == t:
             raise DomainError("evaluation at an atom", witness=float(t))
-        total += w / (z - t)
+        g += w / (z - t)
+        dg += -w / (z - t) ** 2
     if measure.density is not None:
-        total += _density_g(measure.density, z)
-    return total
-
-
-def _cauchy_derivative(measure, z):
-    z = complex(z)
-    total = 0j
-    for t, w in measure.atoms:
-        total += -w / (z - t) ** 2
-    if measure.density is not None:
-        h = 1e-6 * max(1.0, abs(z))
-        total += (_density_g(measure.density, z + h)
-                  - _density_g(measure.density, z - h)) / (2 * h)
-    return total
+        dens, ddens = _density_g(measure.density, z)
+        g, dg = g + dens, dg + ddens
+    return g, dg
 
 
 def _density_g(tag, z):
-    """Herglotz closed form of a tagged density's Cauchy transform at a
-    complex z.  The free Poisson form carries the atom of MP_lam at 0 for
-    lam < 1; it is subtracted, since the Measure lists that atom."""
+    """Herglotz closed form g of a tagged density's Cauchy transform at a
+    complex z, and g' from the quadratic g solves.  The free Poisson form
+    drops the atom of MP_lam at 0 for lam < 1, which the Measure lists."""
     if tag[0] == "free_poisson":
         lam = tag[1]
         s = _edge_sqrt(z - (lam + 1), 2 * math.sqrt(lam))
         g = (z + 1 - lam - s) / (2 * z)
-        if lam < 1:
-            g -= (1 - lam) / z
-        return g
+        atom = (1 - lam) / z if lam < 1 else 0.0
+        return g - atom, g * (g - 1) / s + atom / z
     a, b = tag[1], tag[2]
-    w = z - a
-    return (w - _edge_sqrt(w, 2 * b)) / (2 * b * b)
+    s = _edge_sqrt(z - a, 2 * b)
+    g = (z - a - s) / (2 * b * b)
+    return g, -g / s
 
 
 def _newton_invert(g, gprime, target, seed):
@@ -241,8 +236,8 @@ def cumulant_transform(measure, z):
     if z == 0:
         return 0j
     seed = 1.0 / z + measure.mean()
-    g = lambda w: cauchy_transform(measure, w)
-    winv = _newton_invert(g, lambda w: _cauchy_derivative(measure, w), z, seed)
+    winv = _newton_invert(lambda w: cauchy_transform(measure, w),
+                          lambda w: _cauchy_pair(measure, w)[1], z, seed)
     return z * winv - 1.0
 
 
@@ -290,15 +285,17 @@ def levy_khintchine_C(triple, z):
     return total
 
 
-def levy_khintchine_C_prime(triple, z):
-    z = complex(z)
-    total = complex(triple.a) + 2 * triple.b ** 2 * z
-    for t, w in triple.rho.atoms:
-        term = t / (1.0 - z * t) ** 2
-        if abs(t) <= 1:
-            term -= t
-        total += w * term
-    return total
+def _voiculescu(triples, w):
+    """phi(w) = w C(1/w) of the boxplus of triples, and phi'(w): each adds
+    a + b^2/w + sum_t rho_t (t^2/(w - t) + t [|t| > 1])."""
+    phi = dphi = 0
+    for triple in triples:
+        phi += triple.a + triple.b ** 2 / w
+        dphi -= triple.b ** 2 / (w * w)
+        for t, m in triple.rho.atoms:
+            phi += m * (t * t / (w - t) + (t if abs(t) > 1 else 0.0))
+            dphi -= m * t * t / (w - t) ** 2
+    return phi, dphi
 
 
 def levy_ito_split(triple):
@@ -383,7 +380,7 @@ def recover_triple_from_cumulants(kappas):
     nodes = eigh(hankel(1), hankel(0), eigvals_only=True)
     weights = np.linalg.solve(np.vander(nodes, rank, increasing=True).T,
                               np.array(sigma[:rank]))
-    wtol = 1e-9 * max(1.0, abs(sigma[0]))
+    wtol = sc.PIVOT_TOL * abs(sigma[0])
     b2 = 0.0
     rho_atoms = []
     for t, w in zip(nodes, weights):
@@ -405,115 +402,118 @@ def recover_triple_from_cumulants(kappas):
 
 # -- free additive convolution ----------------------------------------------
 
-def _transform_of(part):
-    """(C, C', mean) of a measure or a Levy triple.
-
-    Triples use the Levy-Khintchine formula.  A unit point mass, the full
-    free Poisson law (continuous part plus its zero atom) and a pure
-    semicircle have C in closed form; every other measure inverts its
-    Cauchy transform by Newton, with C' by a central difference.
-    """
+def _closed_triple(part):
+    """The Levy triple of a part whose C has a closed form (a triple, a
+    unit point mass, the full free Poisson law or a pure semicircle)."""
     if isinstance(part, LevyTriple):
-        return (lambda z: levy_khintchine_C(part, z),
-                lambda z: levy_khintchine_C_prime(part, z),
-                cumulants_from_triple(part, 1)[0])
-    mean = part.mean()
+        return part
     atoms, tag = part.atoms, part.density
     if tag is None and len(atoms) == 1 and abs(atoms[0][1] - 1.0) < 1e-14:
-        a = atoms[0][0]
-        return (lambda z: a * z), (lambda z: complex(a)), mean
-    if tag is not None and tag[0] == "free_poisson":
-        lam = tag[1]
-        if sorted(atoms) == ([(0.0, 1.0 - lam)] if lam < 1 else []):
-            return (lambda z: lam * z / (1 - z),
-                    lambda z: lam / (1 - z) ** 2, mean)
-    if tag is not None and tag[0] == "semicircle" and not atoms:
-        a, b = tag[1], tag[2]
-        return (lambda z: a * z + b * b * z * z,
-                lambda z: a + 2 * b * b * z, mean)
-
-    def c(z):
-        return cumulant_transform(part, z)
-
-    def c_prime(z):
-        h = 1e-7 * max(1.0, abs(z))
-        return (c(z + h) - c(z - h)) / (2 * h)
-    return c, c_prime, mean
+        return LevyTriple(a=atoms[0][0], b=0.0, rho=Measure())
+    if tag and tag[0] == "free_poisson" \
+            and part == free_poisson_measure(tag[1]):
+        return free_poisson_triple(tag[1])
+    if tag and tag[0] == "semicircle" and not atoms:
+        return LevyTriple(a=tag[1], b=tag[2], rho=Measure())
+    return None
 
 
 class FreeConvolution:
-    """mu boxplus nu via additivity of the cumulant transform.
+    """mu_1 boxplus ... boxplus mu_n by subordination.
 
-    ``cauchy(z)`` solves (C(w) + 1)/w = z for w by damped Newton (the
-    inverse Cauchy transform of the convolution is known in closed form
-    through C); densities come from Stieltjes inversion with Richardson
-    extrapolation in the regularization height.
+    Parts whose C has a closed form fold into one law nu, which enters by
+    phi(w) = w C_nu(1/w); every other measure mu_i by F_i = 1/G_i (with
+    none, mu_1 = delta_0, whose F is the identity).  The subordination
+    points solve omega_i = z - phi(F_i(omega_i)) + sum_{j != i} (F_j(omega_j)
+    - omega_j), and G = G_1(omega_1): the one fixed point of an analytic
+    map of C+ into {Im w >= Im z} (Biane 1998; Belinschi-Bercovici 2007).
     """
 
     def __init__(self, parts):
         if len(parts) < 2:
             raise DomainError("need at least two factors")
-        self._cs, self._c_primes, means = zip(*map(_transform_of, parts))
-        self._mean = sum(means)
+        self._parts = [(p, _closed_triple(p)) for p in parts]
+        self._nu = [t for _, t in self._parts if t]
+        self._measures = [p for p, t in self._parts if not t] \
+            or [Measure(atoms=[(0.0, 1.0)])]
+        if not all(m.atoms or m.density for m in self._measures):
+            raise DomainError("a measure part carries no mass")
 
     def c(self, z):
-        return sum(c(z) for c in self._cs)
-
-    def c_prime(self, z):
-        return sum(c_prime(z) for c_prime in self._c_primes)
+        return sum(levy_khintchine_C(t, z) if t else cumulant_transform(p, z)
+                   for p, t in self._parts)
 
     def mean(self):
-        return self._mean
+        return sum(cumulants_from_triple(t, 1)[0] if t else p.mean()
+                   for p, t in self._parts)
 
-    def cauchy(self, z, seed=None):
-        """G(z) of the convolution: the root u of C(u) + 1 - z u = 0."""
-        z = complex(z)
-        if seed is None:
-            seed = 1.0 / z
+    def cauchy(self, z):
+        """G(z) of the convolution, for Im z > 0."""
+        return self._subordinate(complex(z), None)[1]
 
-        def f(u):
-            return self.c(u) + 1.0 - z * u
+    def _step(self, z, omega):
+        """At omega: the size of the residual r_i = F_i + phi(F_i) - z -
+        sum_j (F_j - omega_j), zero at the subordination points; where the
+        Newton step and the fixed-point step lead; G_1(omega_1) and G'(z)."""
+        gs = [_cauchy_pair(m, w) for m, w in zip(self._measures, omega)]
+        fs = [(1 / g, -dg / (g * g)) for g, dg in gs]
+        shift = z + sum([f - w for (f, _), w in zip(fs, omega)])
+        r, d = [], []
+        for f, df in fs:
+            phi, dphi = _voiculescu(self._nu, f)
+            r.append(f + phi - shift)
+            d.append(df * (1 + dphi))
+        fixed = [w - ri for w, ri in zip(omega, r)]
+        try:
+            # Sherman-Morrison inverts J = diag(d) - 1 (q d)^T; omega' = J^-1 1
+            q = [(df - 1) / di for (_, df), di in zip(fs, d)]
+            k = sum(qi * ri for qi, ri in zip(q, r)) / (1 - sum(q))
+            dg = gs[0][1] / ((1 - sum(q)) * d[0])
+        except ZeroDivisionError:   # a critical point: take the fixed point
+            return math.inf, fixed, fixed, gs[0][0], None
+        return (max(map(abs, r)),
+                [w - (ri + k) / di for w, ri, di in zip(omega, r, d)],
+                fixed, gs[0][0], dg)
 
-        def fp(u):
-            return self.c_prime(u) - z
-
-        last = None
-        for trial in (seed, seed * (1 + 1e-3 + 1e-3j),
-                      seed * (1 - 2e-3j), 1.0 / z):
-            try:
-                return _newton_invert(f, fp, 0.0, trial)
-            except NonConvergenceError as exc:
-                last = exc
-        raise last
+    def _subordinate(self, z, omega):
+        """(subordination points, G, G') at z, by Newton from ``omega``
+        (default: z lifted to height 1).  A Newton step that would leave
+        {Im w >= Im z} or not shrink the residual gives way to the fixed-point
+        step, so every iterate stays there: the root found is physical."""
+        if omega is None:
+            omega = [complex(z.real, max(1.0, z.imag))] * len(self._measures)
+        tol = NEWTON_TOL * max(1.0, abs(z))
+        size, newton, fixed, g, dg = self._step(z, omega)
+        for _ in range(NEWTON_MAXIT):
+            if size < tol:
+                return omega, g, dg
+            got = (self._step(z, newton)
+                   if all(w.imag >= z.imag for w in newton) else None)
+            if got is None or not got[0] < size:    # NaN shrinks nothing
+                newton, got = fixed, self._step(z, fixed)
+            omega, (size, newton, fixed, g, dg) = newton, got
+        raise NonConvergenceError("subordination did not converge",
+                                  witness=[z.real, z.imag])
 
     def density_on_grid(self, xs):
-        """Recovered density by -Im G(x + i eps)/pi, Richardson order 2,
-        at eps = STIELTJES_EPS.
-
-        Returns (values, failures): failed grid points carry NaN and are
-        listed with the failure message.
+        """Density -Im G(x + i eps)/pi at eps = STIELTJES_EPS, taken to
+        eps = 0 to second order by its eps-derivative -Re G'(x + i eps)/pi;
+        each point starts from its neighbour's subordination points.
+        Returns (values, failures): failed points carry NaN and are listed
+        with the failure message.
         """
-        values = []
-        failures = []
-        seeds = (None, None)
+        values, failures = [], []
+        start = None
         for x in xs:
             try:
-                gs = []
-                for eps, w in zip((STIELTJES_EPS, 2 * STIELTJES_EPS), seeds):
-                    # continuation: walk down from a safe height on the
-                    # first point, then reuse the neighbour's solution
-                    heights = np.geomspace(1.0, eps, 12) if w is None \
-                        else [eps]
-                    for height in heights:
-                        w = self.cauchy(complex(x, height), seed=w)
-                    gs.append(w)
-                seeds = gs
-                f1, f2 = (-g.imag / math.pi for g in gs)
-                values.append(max(2 * f1 - f2, 0.0))
+                start, g, dg = self._subordinate(complex(x, STIELTJES_EPS),
+                                                 start)
             except NonConvergenceError as exc:
                 values.append(float("nan"))
                 failures.append((float(x), exc.message))
-                seeds = (None, None)
+                continue
+            values.append(max((STIELTJES_EPS * dg.real - g.imag) / math.pi,
+                              0.0))
         return np.array(values), failures
 
 

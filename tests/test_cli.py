@@ -599,10 +599,8 @@ def test_empty_inline_is_bad_json_and_reads_no_stdin(capsys, monkeypatch):
      {"field": "--alpha"}),
     (["classify", "filtration", "--rho", "[1,"], "validation",
      {"field": "--rho"}),
-    (["dist", "density", "--lambda", "nan"], "domain", None),
-    (["dist", "density", "--lambda", "inf"], "domain", None),
 ], ids=["hankel-not-psd", "hankel-no-measure", "alpha-overflow",
-        "alpha-zero-den", "rho-not-json", "lambda-nan", "lambda-inf"])
+        "alpha-zero-den", "rho-not-json"])
 def test_checked_errors_name_their_witness(capsys, argv, code, witness):
     # each of these reached the catch-all (or no check at all) before
     got, out, err = capture(capsys, argv)
@@ -666,7 +664,14 @@ def test_output_file(tmp_path, capsys):
     ["--seed", "3", "nc", "enumerate", "--n", "3"],
     ["nc", "enumerate", "--n", "3", "--tolerance", "1e-9"],
     [],
-], ids=["bad-int", "removed-seed", "removed-tolerance", "no-verb"])
+    ["dist", "density", "--x", "nan"],
+    ["dist", "density", "--lambda", "nan"],
+    ["dist", "density", "--lambda", "inf"],
+    ["classify", "filtration", "--rho", "[[1, 1]]", "--t", "inf"],
+    ["classify", "filtration", "--a", "nan"],
+    ["classify", "filtration", "--b", "-inf"],
+], ids=["bad-int", "removed-seed", "removed-tolerance", "no-verb", "nan-x",
+        "nan-lambda", "inf-lambda", "inf-t", "nan-a", "inf-b"])
 def test_usage_error_ends_with_json_exit_2(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""

@@ -163,8 +163,9 @@ def test_density_moments_match_nc_sums():
 
 
 def test_density_rejects_bad_rate():
-    with pytest.raises(DomainError):
-        tr.free_poisson_density(0.0, 1.0)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            tr.free_poisson_density(lam, 1.0)
 
 
 # -- Levy-Khintchine ---------------------------------------------------------------
@@ -329,6 +330,25 @@ _LOC = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
 _MASS = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_recover_is_scale_invariant(scale):
+    """kappa scaled by c keeps the atom locations and scales the Levy
+    weights, b^2 and a by c: the weight floor is relative to sigma_0."""
+    triple = tr.LevyTriple(a=0.37, b=0.655, rho=tr.Measure(atoms=[
+        (2.967, 0.954), (2.115, 1.339), (0.1416, 0.633)]))
+    kappas = tr.cumulants_from_triple(triple, 10)
+    want, _ = tr.recover_triple_from_cumulants(kappas)
+    got, verdict = tr.recover_triple_from_cumulants(
+        [scale * k for k in kappas])
+    assert verdict.fid and len(got.rho.atoms) == len(want.rho.atoms) == 3
+    for (t, w), (t0, w0) in zip(sorted(got.rho.atoms),
+                                sorted(want.rho.atoms)):
+        assert abs(t - t0) < 1e-6 * abs(t0)
+        assert abs(w - scale * w0) < 1e-6 * scale * w0
+    assert abs(got.b ** 2 - scale * want.b ** 2) < 1e-6 * scale * want.b ** 2
+    assert abs(got.a - scale * want.a) < 1e-6 * scale * abs(want.a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_LOC, max_size=4, unique=True), st.data())
 def test_exact_kappas_recover_rank_atoms_plus_gaussian(locs, data):
@@ -379,6 +399,44 @@ def test_convolve_bernoulli_gives_arcsine():
     assert np.max(np.abs(vals - ref)) < 1e-6
 
 
+def test_bernoulli_square_matches_arcsine_across_the_support():
+    """b boxplus b on linspace(-2.5, 2.5, 9) and 2.05, 2.1667, 3.0: the
+    arcsine density at the interior points, +-1.875 included, and zero
+    outside the support [-2, 2], with no failed point."""
+    b = tr.Measure(atoms=[(-1.0, 0.5), (1.0, 0.5)])
+    xs = np.concatenate([np.linspace(-2.5, 2.5, 9), [2.05, 2.1667, 3.0]])
+    vals, fails = tr.free_convolve(b, b).density_on_grid(xs)
+    assert not fails
+    inside = np.abs(xs) < 2
+    ref = 1.0 / (math.pi * np.sqrt(4.0 - xs[inside] ** 2))
+    assert np.max(np.abs(vals[inside] - ref)) < 1e-6
+    assert np.all(vals[~inside] < 1e-6)
+
+
+def test_convolution_cauchy_from_a_critical_start():
+    """For z = iy, y <= 1, the default start is i, where G_b' = 0, so the
+    first step is the fixed-point step; G is the arcsine 1/sqrt(z^2 - 4).
+    A part with no mass is refused."""
+    b = tr.Measure(atoms=[(-1.0, 0.5), (1.0, 0.5)])
+    for y in (1e-4, 0.5):
+        g = tr.free_convolve(b, b).cauchy(complex(0.0, y))
+        assert abs(g - 1 / (1j * math.sqrt(4 + y * y))) < 1e-12
+    with pytest.raises(DomainError):
+        tr.free_convolve(b, tr.Measure())
+
+
+def test_bernoulli_cube_matches_kesten_mckay():
+    """Three measures, none with a closed-form C: b boxplus b boxplus b is
+    the Kesten-McKay law 3 sqrt(8 - x^2) / (2 pi (9 - x^2)) on
+    [-sqrt 8, sqrt 8]."""
+    b = tr.Measure(atoms=[(-1.0, 0.5), (1.0, 0.5)])
+    xs = np.linspace(-2.6, 2.6, 11)
+    vals, fails = tr.free_convolve(b, b, b).density_on_grid(xs)
+    assert not fails
+    ref = 3 * np.sqrt(8.0 - xs ** 2) / (2 * math.pi * (9.0 - xs ** 2))
+    assert np.max(np.abs(vals - ref)) < 1e-6
+
+
 def _random_triple(rng):
     n = int(rng.integers(1, 4))
     locs = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
@@ -410,9 +468,6 @@ def test_cumulant_transform_adds_under_convolution():
         assert abs(g - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.xfail(strict=True, reason="FreeConvolution.cauchy seeds Newton "
-                   "at 1/z and can converge to a root off the physical "
-                   "branch when the mean is far from 0")
 def test_convolution_cauchy_stays_in_the_lower_half_plane():
     for t1, t2, z in _triple_pairs():
         assert tr.free_convolve(t1, t2).cauchy(z).imag < 0
